@@ -32,7 +32,9 @@
          binds when baseline and fresh ran the same events/smoke
          configuration.  The bench must always report
          serve_generations_identical (interrupted + resumed scenario
-         ledger byte-identical to the uninterrupted one).
+         ledger byte-identical to the uninterrupted one) and
+         serve_collect_identical (arena-collected chunk byte-identical
+         to the closure oracle's).
 
      check_regression --metrics-valid FILE [--require COUNTER]
          Assert FILE is a schema-valid whisper-metrics document with
@@ -213,10 +215,12 @@ let check_bench kind ~baseline_path ~fresh_path ~tolerance ~floors =
   | `Search -> check_parallel_identical fresh_path fresh
   | `Serve ->
       (* the serve bench replays its scripted scenario interrupted +
-         resumed and asserts the ledgers byte-identical before emitting
-         JSON; the field is required so a bench that silently stopped
-         asserting fails the gate *)
-      check_bool_field "serve_generations_identical" fresh_path fresh
+         resumed and asserts the ledgers byte-identical, and collects
+         one chunk both ways and asserts the bytes equal, before
+         emitting JSON; the fields are required so a bench that
+         silently stopped asserting fails the gate *)
+      check_bool_field "serve_generations_identical" fresh_path fresh;
+      check_bool_field "serve_collect_identical" fresh_path fresh
   | `Replay -> (
       check_parallel_identical fresh_path fresh;
       (* the replay bench asserts byte-identity of the compiled arena

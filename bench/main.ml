@@ -1005,12 +1005,13 @@ let replay_bench () =
 (* Part 1d: continuous-profiling service benchmark (BENCH_serve.json) *)
 (* ------------------------------------------------------------------ *)
 
-(* Measures the serve-mode hot path: chunk-ingest throughput into the
-   order-independent accumulator, the window re-scoring latency that
-   runs every generation, and — before emitting any number — replays the
-   scripted drifting scenario interrupted-and-resumed against an
-   uninterrupted reference and asserts the generation ledgers are
-   byte-identical.
+(* Measures the serve-mode hot path: chunk collection by the arena
+   collector against the closure oracle (asserting byte-identical
+   chunks), chunk-ingest throughput into the order-independent
+   accumulator, the window re-scoring latency that runs every
+   generation, and — before emitting any number — replays the scripted
+   drifting scenario interrupted-and-resumed against an uninterrupted
+   reference and asserts the generation ledgers are byte-identical.
 
    Extra environment:
      WHISPER_BENCH_SMOKE  short mode for CI (fewer/smaller generations)
@@ -1073,17 +1074,55 @@ let serve_bench () =
      kill/resume ledger identical\n\
      %!"
     clean.Serve.total clean_s clean.Serve.rollouts clean.Serve.drift_detected;
-  (* --- ingest throughput: the per-delivery accumulator merge *)
+  (* --- chunk collection, both ways over the same stream: the closure
+     oracle (stream regenerated per pass, closure-record TAGE-SC-L run
+     per pass) and the collector serve runs (arena packed once, compiled
+     verdict fill once).  The two run back to back in each of [reps]
+     pairs, and the speedup is the median of the per-pair ratios, so a
+     host-speed change between pairs cancels; the ns/event figures are
+     the best of [reps].  The encoded chunks must be byte-identical
+     before any time counts. *)
   let wcfg = Option.get (Workloads.by_name app_name) in
   let cfg_static = Workloads.build_cfg wcfg in
-  let chunk input =
+  let model input = App_model.create ~cfg:cfg_static ~config:wcfg ~input () in
+  let closure_chunk input =
     Profile.collect ~max_samples:512 ~lengths:Workloads.lengths
       ~events:chunk_events
-      ~make_source:(fun () ->
-        App_model.source (App_model.create ~cfg:cfg_static ~config:wcfg ~input ()))
+      ~make_source:(fun () -> App_model.source (model input))
       ~make_predictor:(Whisper_sim.Runner.lbr_predictor 64)
       ()
   in
+  let chunk input =
+    Whisper_sim.Runner.profile_arena ~max_samples:512 ~kb:64
+      (Arena.build ~events:chunk_events (model input))
+  in
+  let encode p = Profile_chunk.encode ~app:app_name ~seq:0 p in
+  let reps = if smoke then 5 else 7 in
+  let pairs =
+    List.init reps (fun _ ->
+        let c_s, c = time_once (fun () -> closure_chunk 0) in
+        let a_s, a = time_once (fun () -> chunk 0) in
+        (c_s, a_s, Bytes.equal (encode c) (encode a)))
+  in
+  let collect_identical = List.for_all (fun (_, _, same) -> same) pairs in
+  if not collect_identical then
+    failwith
+      "serve bench: arena-collected chunk differs from the closure oracle";
+  let best f =
+    List.fold_left (fun acc p -> Float.min acc (f p)) infinity pairs
+  in
+  let per_event s = 1e9 *. s /. float_of_int (max 1 chunk_events) in
+  let collect_closure_ns = per_event (best (fun (c, _, _) -> c)) in
+  let collect_ns = per_event (best (fun (_, a, _) -> a)) in
+  let collect_speedup =
+    let r = Array.of_list (List.map (fun (c, a, _) -> c /. a) pairs) in
+    Array.sort compare r;
+    r.(reps / 2)
+  in
+  Printf.printf
+    "  collect %.0f ns/event (closure oracle %.0f, %.2fx), chunks identical\n%!"
+    collect_ns collect_closure_ns collect_speedup;
+  (* --- ingest throughput: the per-delivery accumulator merge *)
   let window = List.init 4 chunk in
   let samples_per_round =
     let a =
@@ -1166,15 +1205,20 @@ let serve_bench () =
   "serve_samples_per_window": %d,
   "serve_rescore_ms": %.3f,
   "serve_scenario_s": %.2f,
+  "serve_collect_closure_ns_per_event": %.1f,
+  "serve_collect_ns_per_event": %.1f,
+  "serve_collect_speedup": %.2f,
   "host_cores": %d,
+  "serve_collect_identical": %b,
   "serve_generations_identical": %b
 }
 |}
     app_name chunk_events smoke generations clean.Serve.chunks_ingested
     clean.Serve.rollouts clean.Serve.drift_detected final_hints
     ingest_ns_per_sample samples_per_round rescore_ms clean_s
+    collect_closure_ns collect_ns collect_speedup
     (Domain.recommended_domain_count ())
-    generations_identical;
+    collect_identical generations_identical;
   close_out oc;
   Printf.printf "  wrote %s\n%!" out;
   bench_rm_rf state_root

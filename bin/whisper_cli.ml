@@ -192,9 +192,28 @@ let input_arg =
     value & opt int 1
     & info [ "input"; "i" ] ~docv:"K" ~doc:"Workload input variant")
 
+(* Numeric flags with a range: an out-of-range value is a usage error
+   (exit 124), like any other malformed flag. *)
+let int_in ~what ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s what))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let int_at_least lo =
+  int_in ~what:(Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
+
 let kb_arg =
+  let budget kb =
+    match Whisper_bpu.Sizes.for_budget ~kb with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
   Arg.(
-    value & opt int 64
+    value
+    & opt (int_in ~what:"a power of two from 8 to 8192" budget) 64
     & info [ "baseline-kb" ] ~docv:"KB" ~doc:"TAGE-SC-L storage budget")
 
 let technique_arg =
@@ -721,27 +740,27 @@ let serve_cmd =
   in
   let generations_arg =
     Arg.(
-      value & opt int 12
+      value & opt (int_at_least 0) 12
       & info [ "generations" ] ~docv:"N"
           ~doc:"Scripted delivery intervals (one trace chunk per app each)")
   in
   let chunk_events_arg =
     Arg.(
-      value & opt int 120_000
+      value & opt (int_at_least 0) 120_000
       & info [ "chunk-events" ] ~docv:"N"
           ~doc:"Branch events collected per trace chunk")
   in
   let window_arg =
     Arg.(
-      value & opt int 4
+      value & opt (int_at_least 1) 4
       & info [ "window" ] ~docv:"N"
           ~doc:"Sliding re-scoring window, in accepted chunks")
   in
   let max_samples_arg =
     Arg.(
-      value & opt int 512
+      value & opt (int_at_least 0) 512
       & info [ "max-samples" ] ~docv:"N"
-          ~doc:"Per-branch sample cap of the profile accumulator")
+          ~doc:"Per-branch sample cap of each chunk and of the window merge")
   in
   let drift_flip_arg =
     Arg.(

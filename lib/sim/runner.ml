@@ -252,6 +252,28 @@ let profile_key ctx app ~inputs ~kb =
     (String.concat "," (List.map string_of_int inputs))
     kb ctx.ev
 
+(* Stage the LBR baseline once: the compiled TAGE-SC-L kernel fills a
+   verdict bitmap in one monomorphic pass, and both profiling passes
+   replay it through a cursor.  Collection calls the predictor exactly
+   once per event in order with a fresh instance per pass, so the cursor
+   sequence is byte-identical to a fresh closure predictor per pass —
+   while running the predictor once instead of twice and at compiled
+   speed. *)
+let profile_arena ?max_samples ~kb arena =
+  let n = Arena.length arena in
+  let verdicts = Bytes.create n in
+  (Tage_scl.compiled (Sizes.for_budget ~kb)).Predictor.Compiled.fill ~arena ~n
+    ~verdicts;
+  let make_predictor () =
+    let i = ref 0 in
+    fun ~pc:_ ~taken:_ ->
+      let v = Bytes.get verdicts !i <> '\000' in
+      incr i;
+      v
+  in
+  Profile.collect_arena ?max_samples ~lengths:Workloads.lengths ~events:n
+    ~arena ~make_predictor ()
+
 let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
   let kb = Option.value baseline_kb ~default:ctx.base_kb in
   let key = profile_key ctx app ~inputs ~kb in
@@ -260,29 +282,7 @@ let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
       Tm.incr m_profiles;
       let one input =
         match ctx.replay_mode with
-        | `Arena ->
-            (* Stage the LBR baseline once: the compiled TAGE-SC-L kernel
-               fills a verdict bitmap in one monomorphic pass, and both
-               profiling passes replay it through a cursor.  Collection
-               calls the predictor exactly once per event in order with a
-               fresh instance per pass, so the cursor sequence is
-               byte-identical to a fresh closure predictor per pass —
-               while running the predictor once instead of twice and at
-               compiled speed (profiles equal the closure path's, which
-               the runner catalog tests enforce end to end). *)
-            let a = arena ctx app ~input in
-            let verdicts = Bytes.create ctx.ev in
-            (Tage_scl.compiled (Sizes.for_budget ~kb)).Predictor.Compiled.fill
-              ~arena:a ~n:ctx.ev ~verdicts;
-            let make_predictor () =
-              let i = ref 0 in
-              fun ~pc:_ ~taken:_ ->
-                let v = Bytes.get verdicts !i <> '\000' in
-                incr i;
-                v
-            in
-            Profile.collect_arena ~lengths:Workloads.lengths ~events:ctx.ev
-              ~arena:a ~make_predictor ()
+        | `Arena -> profile_arena ~kb (arena ctx app ~input)
         | `Closure ->
             Profile.collect ~lengths:Workloads.lengths ~events:ctx.ev
               ~make_source:(fun () -> source ctx app ~input)

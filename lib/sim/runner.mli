@@ -143,6 +143,19 @@ val make_exec_arena :
     trained runtimes.  Byte-identical results to {!make_exec} under
     {!Whisper_pipeline.Machine.run} by the differential-oracle tests. *)
 
+val profile_arena :
+  ?max_samples:int -> kb:int -> Whisper_trace.Arena.t -> Whisper_trace.Profile.t
+(** The arena profile collector: a two-pass LBR profile of every event
+    in the arena against a fresh [kb]-budget TAGE-SC-L baseline.  The
+    compiled kernel fills the baseline's verdicts once and both passes
+    replay them through a cursor, so the predictor runs once instead of
+    twice and the stream is never regenerated.  Byte-identical to
+    {!Whisper_trace.Profile.collect} with {!lbr_predictor}[ kb] over the
+    same event stream ([max_samples] as there, default 512).  {!profile}
+    and [whisper serve]'s chunk collection both go through it.
+    @raise Invalid_argument if {!Whisper_bpu.Sizes.for_budget} refuses
+    [kb]. *)
+
 val profile :
   ?inputs:int list ->
   ?baseline_kb:int ->
@@ -150,7 +163,8 @@ val profile :
   Whisper_trace.Workloads.config ->
   Whisper_trace.Profile.t
 (** Memoized profile collection ([inputs] defaults to [[0]]; several
-    inputs are collected separately and merged, Fig. 18). *)
+    inputs are collected separately and merged, Fig. 18).  [`Arena]
+    replay collects with {!profile_arena} over the memoized arena. *)
 
 val run_key :
   ctx ->

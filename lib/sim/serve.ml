@@ -252,8 +252,8 @@ type app_state = {
   name : string;
   wcfg : Workloads.config;
   cfg_static : Cfg.t;
-  accum : Profile_chunk.accum;
-  profiles : (string, Profile.t) Hashtbl.t;  (* chunk id -> profile *)
+  ids : (string, unit) Hashtbl.t;  (* every accepted chunk id *)
+  profiles : (string, Profile.t) Hashtbl.t;  (* window chunk id -> profile *)
   mutable win : (int * string) list;  (* newest first *)
   mutable dep : deployed option;
   mutable ref_cov : float;  (* deployed coverage at rollout time *)
@@ -279,26 +279,39 @@ let phase_of cfg ~gen =
 (* One collection window's chunk, regenerated deterministically from
    (config, app, gen) — including the delivery-time corruption, which is
    pure in (fault_seed, step key).  This is what makes lost chunk files
-   recoverable on resume. *)
+   recoverable on resume.  The chunk's events are packed into a
+   transient arena and profiled by the same collector as
+   [Runner.profile]. *)
 let collect_chunk env st ~gen =
-  let phase = phase_of env.cfg ~gen in
-  let input = gen + 2 in
+  let model =
+    App_model.create ~phase:(phase_of env.cfg ~gen) ~cfg:st.cfg_static
+      ~config:st.wcfg ~input:(gen + 2) ()
+  in
   let profile =
-    Profile.collect ~max_samples:env.cfg.max_samples ~lengths:Workloads.lengths
-      ~events:env.cfg.chunk_events
-      ~make_source:(fun () ->
-        App_model.source
-          (App_model.create ~phase ~cfg:st.cfg_static ~config:st.wcfg ~input ()))
-      ~make_predictor:(Runner.lbr_predictor env.cfg.kb)
-      ()
+    Runner.profile_arena ~max_samples:env.cfg.max_samples ~kb:env.cfg.kb
+      (Arena.build ~events:env.cfg.chunk_events model)
   in
   let clean = Profile_chunk.encode ~app:st.name ~seq:gen profile in
   match env.fault with
   | None -> clean
   | Some f -> Fault.corrupt f ~key:(step_key ~gen ~app:st.name) clean
 
-(* The profile of an accepted chunk, from the in-memory cache, the chunk
-   store, or deterministic regeneration. *)
+(* The acceptance step every delivered chunk passes: it must decode, and
+   its length series must be the service's.  A bit flip in the series
+   varint can leave a chunk that decodes but cannot be merged into a
+   window; it quarantines like any other malformed chunk. *)
+let accept_chunk bytes =
+  match Profile_chunk.decode bytes with
+  | Error _ as e -> e
+  | Ok c when Profile.lengths c.Profile_chunk.profile <> Workloads.lengths ->
+      Error
+        (Whisper_error.make ~context:"profile-chunk" Profile_io
+           (Whisper_error.Malformed
+              "chunk length series differs from the service's"))
+  | Ok c -> Ok c.Profile_chunk.profile
+
+(* The profile of an accepted chunk, from the in-memory window cache, the
+   chunk store, or deterministic regeneration. *)
 let chunk_profile env st ~gen ~id =
   match Hashtbl.find_opt st.profiles id with
   | Some p -> Some p
@@ -306,10 +319,10 @@ let chunk_profile env st ~gen ~id =
       let from_bytes b =
         if Profile_chunk.id b <> id then None
         else
-          match Profile_chunk.decode b with
-          | Ok c ->
-              Hashtbl.replace st.profiles id c.Profile_chunk.profile;
-              Some c.Profile_chunk.profile
+          match accept_chunk b with
+          | Ok p ->
+              Hashtbl.replace st.profiles id p;
+              Some p
           | Error _ -> None
       in
       let stored =
@@ -331,16 +344,16 @@ let window_profile env st =
       (Profile_chunk.merge_profiles ~max_samples:env.cfg.max_samples
          ~lengths:Workloads.lengths ps)
 
+(* Slide the window; a chunk that leaves it drops its cached profile
+   ([chunk_profile] reloads it from the store should resume need it). *)
 let push_window env st ~gen ~id =
-  st.win <- (gen, id) :: st.win;
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  st.win <- take env.cfg.window st.win
+  st.win <- List.filteri (fun i _ -> i < env.cfg.window) ((gen, id) :: st.win);
+  let in_window cid = List.exists (fun (_, w) -> w = cid) st.win in
+  Hashtbl.filter_map_inplace
+    (fun cid p -> if in_window cid then Some p else None)
+    st.profiles
 
-let short_error (e : Whisper_error.t) =
+let quarantine_tag (e : Whisper_error.t) =
   match e.Whisper_error.kind with
   | Whisper_error.Truncated -> "truncated"
   | Whisper_error.Bad_magic _ -> "bad-magic"
@@ -368,40 +381,40 @@ let decide_rollout ~incumbent ~candidate =
   | None -> `Rollout
   | Some c -> if candidate >= c then `Rollout else `Rollback
 
+(* Content-keyed dedup: [true] on a chunk id's first delivery, [false]
+   (a counted no-op) on every re-delivery. *)
+let first_delivery st id =
+  if Hashtbl.mem st.ids id then begin
+    Tm.incr m_duplicates;
+    false
+  end
+  else begin
+    Hashtbl.add st.ids id ();
+    true
+  end
+
 let execute_step env st ~gen =
   let key = step_key ~gen ~app:st.name in
   let delivered = collect_chunk env st ~gen in
   let cid = Profile_chunk.id delivered in
   let status, redup =
-    match Profile_chunk.decode delivered with
+    match accept_chunk delivered with
     | Error e ->
         Tm.incr m_quarantined;
-        ("quarantined:" ^ short_error e, 0)
-    | Ok c -> (
-        match
-          Profile_chunk.ingest_profile st.accum ~id:cid c.Profile_chunk.profile
-        with
-        | Profile_chunk.Duplicate _ ->
-            Tm.incr m_duplicates;
-            ("ok", 1)
-        | Profile_chunk.Added _ ->
-            Tm.incr m_ingested;
-            write_atomic (chunk_path env.cfg ~app:st.name ~id:cid) delivered;
-            Hashtbl.replace st.profiles cid c.Profile_chunk.profile;
-            push_window env st ~gen ~id:cid;
-            let redup =
-              if env.cfg.redeliver then (
-                match
-                  Profile_chunk.ingest_profile st.accum ~id:cid
-                    c.Profile_chunk.profile
-                with
-                | Profile_chunk.Duplicate _ ->
-                    Tm.incr m_duplicates;
-                    1
-                | Profile_chunk.Added _ -> 0 (* unreachable: same id *))
-              else 0
-            in
-            ("ok", redup))
+        ("quarantined:" ^ quarantine_tag e, 0)
+    | Ok profile ->
+        if not (first_delivery st cid) then ("ok", 1)
+        else begin
+          Tm.incr m_ingested;
+          write_atomic (chunk_path env.cfg ~app:st.name ~id:cid) delivered;
+          Hashtbl.replace st.profiles cid profile;
+          push_window env st ~gen ~id:cid;
+          (* the re-delivery probe *)
+          let redup =
+            if env.cfg.redeliver && not (first_delivery st cid) then 1 else 0
+          in
+          ("ok", redup)
+        end
   in
   let wprof = window_profile env st in
   let cov =
@@ -510,9 +523,8 @@ let apply_step env st (s : step) =
     if s.status <> "ok" then true
     else
       match chunk_profile env st ~gen:s.gen ~id:s.chunk_id with
-      | Some p ->
-          (match Profile_chunk.ingest_profile st.accum ~id:s.chunk_id p with
-          | Profile_chunk.Added _ | Profile_chunk.Duplicate _ -> ());
+      | Some _ ->
+          Hashtbl.replace st.ids s.chunk_id ();
           push_window env st ~gen:s.gen ~id:s.chunk_id;
           true
       | None -> false
@@ -556,9 +568,7 @@ let init_states cfg =
               name = app;
               wcfg;
               cfg_static = Workloads.build_cfg wcfg;
-              accum =
-                Profile_chunk.create_accum ~max_samples:cfg.max_samples
-                  ~lengths:Workloads.lengths ();
+              ids = Hashtbl.create 64;
               profiles = Hashtbl.create 16;
               win = [];
               dep = None;
@@ -636,7 +646,25 @@ let count_steps steps f = List.length (List.filter f steps)
 (* Run                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let validate cfg =
+  let at_least name lo v =
+    if v < lo then
+      invalid_arg
+        (Printf.sprintf "Serve.run: %s must be >= %d, got %d" name lo v)
+  in
+  at_least "generations" 0 cfg.generations;
+  at_least "chunk_events" 0 cfg.chunk_events;
+  at_least "max_samples" 0 cfg.max_samples;
+  at_least "window" 1 cfg.window;
+  match Whisper_bpu.Sizes.for_budget ~kb:cfg.kb with
+  | _ -> ()
+  | exception Invalid_argument _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Serve.run: kb must be a power of two from 8 to 8192, got %d" cfg.kb)
+
 let run cfg =
+  validate cfg;
   let manifest = plan cfg in
   let mid = Manifest.id manifest in
   let total = Array.length manifest.Manifest.items in

@@ -5,17 +5,30 @@
     Each {e generation} of the scripted scenario models one fleet
     delivery interval, per application: a trace chunk is collected from
     the (possibly drifting) workload and delivered — optionally
-    corrupted by the {!Whisper_util.Fault} machinery — to the service,
-    which ingests it into the app's canonical
-    {!Whisper_trace.Profile_chunk} accumulator (re-deliveries are
-    counted no-ops), re-scores the deployed hint plan against a sliding
-    window of recent chunks ({!Whisper_core.Rescore}), and when
-    coverage has decayed past the drift threshold re-runs the full
-    analysis over the shared domain pool.  A candidate plan is rolled
-    out only if it scores at least as well as the incumbent on the same
-    window — otherwise it is rolled back and the incumbent stays
-    deployed.  Corrupt chunks and faulted analyses quarantine; they
-    never kill the service.
+    corrupted by the {!Whisper_util.Fault} machinery — to the service.
+    An accepted chunk ({!accept_chunk}) is deduplicated by its content
+    id: the service keeps the set of accepted chunk ids, so a
+    re-delivery is a counted no-op.  The service then re-scores the
+    deployed hint plan ({!Whisper_core.Rescore}) against the merge of a
+    sliding window of recent chunks — the order-independent
+    {!Whisper_util.Mergeset} union happens in that window merge
+    ({!Whisper_trace.Profile_chunk.merge_profiles}), once per step —
+    and when coverage has decayed past the drift threshold re-runs the
+    full analysis over the shared domain pool.  A candidate plan is
+    rolled out only if it scores at least as well as the incumbent on
+    the same window — otherwise it is rolled back and the incumbent
+    stays deployed.  Corrupt chunks and faulted analyses quarantine;
+    they never kill the service.
+
+    Chunks are collected by {!Runner.profile_arena}, the collector
+    {!Runner.profile} uses: the chunk's events are packed once into a
+    transient {!Whisper_trace.Arena} and the baseline's verdicts are
+    filled once by the compiled TAGE-SC-L.  Memory is bounded per app
+    by [window] chunk profiles — a chunk leaving the window drops its
+    profile, and resume reloads it from the chunk store or regenerates
+    it — plus, during collection, that one arena of [chunk_events]
+    packed events (about 32 bytes per event: 3.8 MB at the default
+    120 k).
 
     Crash safety mirrors {!Sweep}: the scenario is frozen into a
     content-keyed {!Whisper_util.Manifest}, every completed
@@ -33,7 +46,8 @@ type config = {
   chunk_events : int;  (** branch events collected per chunk *)
   window : int;  (** sliding window, in accepted chunks *)
   kb : int;  (** baseline predictor budget during collection *)
-  max_samples : int;  (** accumulator per-branch sample cap *)
+  max_samples : int;
+      (** per-branch sample cap of each chunk and of the window merge *)
   drift_flip : int option;
       (** generation at which the workload switches to session-mix
           phase 1 ({!Whisper_trace.App_model} [?phase]) *)
@@ -102,7 +116,24 @@ type outcome = {
 val run : config -> outcome
 (** Execute (or resume) the scripted scenario.  The ledger and summary
     are deterministic functions of the config — independent of job
-    count, kills and resumes. *)
+    count, kills and resumes.
+    @raise Invalid_argument naming the field when [generations],
+    [chunk_events] or [max_samples] is negative, [window] is below 1,
+    or [kb] is not a budget {!Whisper_bpu.Sizes.for_budget} accepts. *)
+
+val accept_chunk :
+  bytes -> (Whisper_trace.Profile.t, Whisper_util.Whisper_error.t) result
+(** The acceptance step every delivered chunk passes before dedup: the
+    bytes must decode ({!Whisper_trace.Profile_chunk.decode}) to a
+    profile over the service's history-length series
+    ({!Whisper_trace.Workloads.lengths}).  Total: a bit flip that still
+    decodes but changes the series is a [Malformed] error, like any
+    other malformed chunk.  [Error e] quarantines the step as
+    [status=quarantined:<quarantine_tag e>]. *)
+
+val quarantine_tag : Whisper_util.Whisper_error.t -> string
+(** The ledger's short tag for a quarantine error: [truncated],
+    [bad-magic], [version-skew], [malformed], and so on. *)
 
 val decide_rollout :
   incumbent:float option -> candidate:float -> [ `Rollback | `Rollout ]

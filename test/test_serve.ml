@@ -9,13 +9,19 @@
    - re-delivering an ingested chunk is a counted no-op; corrupt or
      truncated chunks are typed errors that leave the accumulator
      untouched;
+   - the arena collector serve chunks go through encodes byte-identical
+     chunks (hence chunk ids) to the closure oracle;
+   - a chunk whose length series took a bit flip but still decodes is a
+     typed quarantine, not an exception;
    - the WRSC plan codec round-trips and is content-stable;
    - a serve scenario interrupted any number of times (max_steps — the
      in-process stand-in for kill -9) and resumed produces a ledger
      byte-identical to an uninterrupted run, faults included;
    - the scripted phase flip drives coverage down, triggers re-analysis
      and recovers (check_recovery holds);
-   - the rollout rule prefers the incumbent on a strict loss.
+   - the rollout rule prefers the incumbent on a strict loss;
+   - out-of-range numeric settings are named Invalid_arguments in the
+     library and usage errors (exit 124) on the command line.
 
    State dirs go through Test_dirs so runtest leaves nothing behind. *)
 
@@ -294,6 +300,79 @@ let test_corrupt_chunk_rejected () =
     check_bool "rejected deliveries leave the accumulator untouched" true
       (before = profile_bytes (Profile_chunk.profile a))
 
+(* The collector serve runs (arena packed once, compiled verdict fill
+   once) against the closure oracle (stream regenerated per pass,
+   closure-record baseline): the encoded chunks, and so their ids, must
+   be byte-identical at every size down to the empty chunk. *)
+let qcheck_collector_matches_closure =
+  QCheck.Test.make ~name:"collector: arena chunk bytes = closure oracle"
+    ~count:40
+    QCheck.(
+      quad (int_bound 1) (int_bound 9)
+        (oneofl ~print:string_of_int [ 0; 1; 7; 5_000; 20_000 ])
+        (pair
+           (oneofl ~print:string_of_int [ 8; 64 ])
+           (oneofl ~print:string_of_int [ 1; 64; 512 ])))
+    (fun (phase, input, events, (kb, max_samples)) ->
+      let model () =
+        App_model.create ~phase ~cfg:tiny_cfg ~config:tiny_config ~input ()
+      in
+      let oracle =
+        Profile.collect ~max_samples ~lengths:Workloads.lengths ~events
+          ~make_source:(fun () -> App_model.source (model ()))
+          ~make_predictor:(Whisper_sim.Runner.lbr_predictor kb)
+          ()
+      in
+      let collected =
+        Whisper_sim.Runner.profile_arena ~max_samples ~kb
+          (Arena.build ~events (model ()))
+      in
+      let chunk p = Profile_chunk.encode ~app:"serve-test" ~seq:input p in
+      Profile_chunk.id (chunk collected) = Profile_chunk.id (chunk oracle)
+      && Bytes.equal (chunk collected) (chunk oracle))
+
+(* Single-bit flips over a real chunk's header: some land in the length
+   series varint and still decode, to a profile no window merge accepts.
+   The acceptance step must quarantine exactly those as malformed, and
+   raise on none. *)
+let test_poison_chunk_quarantined () =
+  let p = collect_profile ~input:0 ~events:20_000 () in
+  let good = Profile_chunk.encode ~app:"serve-test" ~seq:0 p in
+  let poison = ref 0 in
+  for bit = 0 to (64 * 8) - 1 do
+    let b = Bytes.copy good in
+    let i = bit / 8 in
+    Bytes.set b i
+      (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+    let foreign_series =
+      match Profile_chunk.decode b with
+      | Ok { Profile_chunk.profile = q; _ }
+        when Profile.lengths q <> Workloads.lengths ->
+          Some q
+      | Ok _ | Error _ -> None
+    in
+    match (Whisper_sim.Serve.accept_chunk b, foreign_series) with
+    | Ok _, None | Error _, None -> ()
+    | Ok _, Some _ ->
+        Alcotest.failf "bit %d: foreign length series accepted" bit
+    | Error e, Some q ->
+        incr poison;
+        check_string "typed quarantine" "malformed"
+          (Whisper_sim.Serve.quarantine_tag e);
+        (* the window merge the chunk would have reached raises *)
+        check_bool "poison for the window merge" true
+          (match
+             Profile_chunk.merge_profiles ~lengths:Workloads.lengths [ q ]
+           with
+          | _ -> false
+          | exception Invalid_argument _ -> true)
+    | exception e ->
+        Alcotest.failf "bit %d: accept_chunk raised %s" bit
+          (Printexc.to_string e)
+  done;
+  check_bool "some flips change the length series and still decode" true
+    (!poison > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Rescore codec                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +521,43 @@ let test_serve_stationary_no_flip () =
     | Error _ -> true
     | Ok () -> false)
 
+let test_serve_rejects_bad_config () =
+  let base = serve_cfg ~state_dir:(Test_dirs.fresh "serve_bad") () in
+  List.iter
+    (fun (field, cfg) ->
+      match Whisper_sim.Serve.run cfg with
+      | _ -> Alcotest.failf "%s: out-of-range value accepted" field
+      | exception Invalid_argument msg ->
+          check_bool (field ^ " is named") true
+            (String.starts_with ~prefix:("Serve.run: " ^ field ^ " ") msg))
+    [
+      ("generations", { base with Whisper_sim.Serve.generations = -1 });
+      ("chunk_events", { base with Whisper_sim.Serve.chunk_events = -5 });
+      ("max_samples", { base with Whisper_sim.Serve.max_samples = -1 });
+      ("window", { base with Whisper_sim.Serve.window = 0 });
+      ("kb", { base with Whisper_sim.Serve.kb = 96 });
+    ]
+
+let test_cli_rejects_bad_flags () =
+  Cli_exe.with_cli ~suite:"test_serve" @@ fun exe ->
+  let serve args =
+    Sys.command
+      (Filename.quote_command exe
+         ("serve" :: "--state-dir" :: Test_dirs.fresh "serve_cli" :: args)
+         ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  check_int "an empty scenario runs" 0 (serve [ "--generations=0" ]);
+  List.iter
+    (fun flag -> check_int (flag ^ " is a usage error") 124 (serve [ flag ]))
+    [
+      "--chunk-events=-5";
+      "--max-samples=-1";
+      "--generations=-1";
+      "--window=0";
+      "--baseline-kb=7";
+      "--baseline-kb=96";
+    ]
+
 let () =
   Alcotest.run "whisper_serve"
     [
@@ -460,6 +576,9 @@ let () =
             test_duplicate_is_counted_noop;
           Alcotest.test_case "corrupt chunks are typed rejections" `Quick
             test_corrupt_chunk_rejected;
+          QCheck_alcotest.to_alcotest qcheck_collector_matches_closure;
+          Alcotest.test_case "length-series flips quarantine" `Quick
+            test_poison_chunk_quarantined;
         ] );
       ( "rescore",
         [
@@ -478,5 +597,9 @@ let () =
             test_serve_drift_recovery;
           Alcotest.test_case "stationary scenario" `Slow
             test_serve_stationary_no_flip;
+          Alcotest.test_case "out-of-range config is a named error" `Quick
+            test_serve_rejects_bad_config;
+          Alcotest.test_case "CLI rejects out-of-range flags" `Quick
+            test_cli_rejects_bad_flags;
         ] );
     ]

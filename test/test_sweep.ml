@@ -341,26 +341,7 @@ let test_manifest_change_invalidates_journal () =
 (* Process mode (needs the CLI binary; skips when absent)             *)
 (* ------------------------------------------------------------------ *)
 
-let cli_exe () =
-  let candidates =
-    match Sys.getenv_opt "WHISPER_CLI_EXE" with
-    | Some p -> [ p ]
-    | None ->
-        [
-          Filename.concat
-            (Filename.concat (Filename.dirname (Sys.getcwd ())) "bin")
-            "whisper_cli.exe";
-          "../bin/whisper_cli.exe";
-          "_build/default/bin/whisper_cli.exe";
-        ]
-  in
-  List.find_opt Sys.file_exists candidates
-
-let with_cli f =
-  match cli_exe () with
-  | None ->
-      Printf.printf "test_sweep: CLI binary not found; skipping process-mode case\n%!"
-  | Some exe -> f exe
+let with_cli = Cli_exe.with_cli ~suite:"test_sweep"
 
 let test_process_mode_matches_inprocess () =
   with_cli @@ fun exe ->
