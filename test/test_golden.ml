@@ -1,0 +1,132 @@
+(* Golden digests of every durable output.
+
+   What must hold: the bytes a refactor of the persistence or planning
+   layers could disturb stay exactly what they are.  Each case digests
+   one output and compares it with a pinned value:
+   - Plan_io bytes of Runner.whisper_plan for two catalog apps;
+   - Result_cache entries of Runner.run for three techniques;
+   - one Arena_cache entry;
+   - the Sweep and Serve manifest ids;
+   - an in-process jobs = 1 sweep: report text + CSV and journal.bin;
+   - a clean serve scenario: ledger, journal.bin and every plan file.
+
+   Digests are MD5 (Stdlib Digest, the repo's content-key hash).  A
+   pinned value changes only with a deliberate format or behaviour
+   change, and then the commit that changes it says why.
+
+   State dirs go through Test_dirs so runtest leaves nothing behind. *)
+
+open Whisper_util
+open Whisper_trace
+open Whisper_sim
+
+let events = 20_000
+let md5 s = Digest.to_hex (Digest.string s)
+let md5b b = md5 (Bytes.to_string b)
+let app name = Option.get (Workloads.by_name name)
+let check = Alcotest.(check string)
+
+(* ------------------------------------------------------------------ *)
+(* Plans, cache entries, manifest ids                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_plans () =
+  let ctx = Runner.create_ctx ~events () in
+  List.iter
+    (fun (name, expected) ->
+      let plan = Runner.whisper_plan ctx (app name) in
+      check ("plan " ^ name) expected
+        (md5b (Whisper_core.Plan_io.to_bytes plan)))
+    [ ("mysql", "b097f791166bc105c3ac901e6d70b6da"); ("python", "ab14c48d40f7eb900dd460e2265d911d") ]
+
+let test_result_entries () =
+  let ctx = Runner.create_ctx ~events () in
+  let a = app "mysql" in
+  List.iter
+    (fun (tech_name, expected) ->
+      let tech = Option.get (Sweep.parse_technique tech_name) in
+      let key =
+        Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
+          ~kb:(Runner.baseline_kb ctx)
+      in
+      let r = Runner.run ctx a tech in
+      check ("result " ^ tech_name) expected (md5b (Result_cache.encode ~key r)))
+    [ ("tage-scl", "38e0b869d8fa7aaf79062f6db67307f5"); ("8b-rombf", "7e696b8d29ca1e8ce34aae141bb9252a"); ("whisper", "aa77d91fd5f13efbf0759b30276ce267") ]
+
+let test_arena_entry () =
+  let ctx = Runner.create_ctx ~events () in
+  let arena = Runner.arena ctx (app "python") ~input:1 in
+  check "arena entry" "5b13d235868641bbbc8070f176c6bcd8"
+    (md5b (Arena_cache.encode ~key:"golden/python/1" arena))
+
+(* The sweep and serve configurations of test_sweep.ml and
+   test_serve.ml. *)
+let sweep_cfg ~state_dir =
+  {
+    (Sweep.default ~state_dir) with
+    Sweep.apps = Sweep.fleet ~seed:7 ~n:4;
+    techniques = [ "tage-scl"; "ideal"; "whisper" ];
+    events = 2_000;
+    mode = `In_process;
+    jobs = 1;
+  }
+
+let serve_cfg ~state_dir =
+  {
+    (Serve.default ~state_dir) with
+    Serve.generations = 8;
+    chunk_events = 60_000;
+    drift_flip = Some 4;
+  }
+
+let test_manifest_ids () =
+  check "sweep manifest id" "9e82b22f4075e681ff51820ce9a18559"
+    (Manifest.id (Sweep.plan (sweep_cfg ~state_dir:"unused")));
+  check "serve manifest id" "fded42de95ff90830f95de886beff628"
+    (Manifest.id (Serve.plan (serve_cfg ~state_dir:"unused")))
+
+(* ------------------------------------------------------------------ *)
+(* End-to-end state directories                                       *)
+(* ------------------------------------------------------------------ *)
+
+let file_digest path = md5b (Binio.of_file path)
+
+let test_sweep_outputs () =
+  let state_dir = Test_dirs.fresh "golden_sweep" in
+  let o = Sweep.run (sweep_cfg ~state_dir) in
+  let report = Option.get o.Sweep.report in
+  check "sweep report" "38ad10400d82a7fe4a32ef006d8ef8b8"
+    (md5 (Report.to_string report ^ "\n---\n" ^ Report.to_csv report));
+  check "sweep journal" "a43ebd02e768a203f361f048980dfcf4"
+    (file_digest (Filename.concat state_dir "journal.bin"))
+
+let test_serve_outputs () =
+  let state_dir = Test_dirs.fresh "golden_serve" in
+  let o = Serve.run (serve_cfg ~state_dir) in
+  check "serve ledger" "0b057cafec408e78fb5d8fad7ccc7e70" (md5 (String.concat "\n" o.Serve.ledger));
+  check "serve journal" "2d8812c48575be6215439c6f380b3b9c"
+    (file_digest (Filename.concat state_dir "journal.bin"));
+  let plan_dir =
+    Filename.concat (Filename.concat state_dir "plans") "finagle-http"
+  in
+  let plans =
+    Sys.readdir plan_dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f -> f ^ ":" ^ file_digest (Filename.concat plan_dir f))
+  in
+  check "serve plan files" "2c10a07da0b6ffbb17e958c310a87682" (md5 (String.concat "\n" plans))
+
+let () =
+  Alcotest.run "whisper_golden"
+    [
+      ( "golden",
+        [
+          Alcotest.test_case "whisper plans" `Quick test_plans;
+          Alcotest.test_case "result-cache entries" `Quick test_result_entries;
+          Alcotest.test_case "arena-cache entry" `Quick test_arena_entry;
+          Alcotest.test_case "manifest ids" `Quick test_manifest_ids;
+          Alcotest.test_case "sweep report and journal" `Quick
+            test_sweep_outputs;
+          Alcotest.test_case "serve ledger, journal and plans" `Slow
+            test_serve_outputs;
+        ] );
+    ]
