@@ -167,16 +167,13 @@ let emit_telemetry ?(summary = false) ~metrics_out ~trace_out () =
       List.iter
         (fun l -> Printf.eprintf "telemetry: %s\n" l)
         (T.summary_lines snap);
-    Option.iter
-      (fun path ->
-        T.write_file ~path (T.to_json_string snap);
-        Printf.eprintf "telemetry: metrics written to %s\n" path)
-      metrics_out;
-    Option.iter
-      (fun path ->
-        T.write_file ~path (T.to_chrome snap);
-        Printf.eprintf "telemetry: trace written to %s\n" path)
-      trace_out
+    let write what render =
+      Option.iter (fun path ->
+          T.write_file ~path (render snap);
+          Printf.eprintf "telemetry: %s written to %s\n" what path)
+    in
+    write "metrics" T.to_json_string metrics_out;
+    write "trace" T.to_chrome trace_out
   end
 
 let make_ctx ~events ~baseline_kb ~jobs ~replay ~no_cache ~cache_dir
@@ -398,9 +395,7 @@ let trace_cmd =
     let m = App_model.create ~cfg ~config:app ~input () in
     let events_arr = Branch.take (App_model.source m) events in
     let encoded = Pt_codec.encode ~cfg events_arr in
-    let oc = open_out_bin out in
-    output_bytes oc encoded;
-    close_out oc;
+    Whisper_util.Durable.write_atomic out encoded;
     (* verify the round trip, as a real collector's self-check would *)
     (match Pt_codec.decode ~cfg encoded with
     | Ok decoded -> assert (decoded = events_arr)
@@ -520,10 +515,9 @@ let experiment_cmd =
             Printf.printf "\n%!";
             Option.iter
               (fun dir ->
-                (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                let oc = open_out (Filename.concat dir (id ^ ".csv")) in
-                output_string oc (Whisper_sim.Report.to_csv report);
-                close_out oc)
+                Whisper_util.Durable.write_atomic
+                  (Filename.concat dir (id ^ ".csv"))
+                  (Bytes.of_string (Whisper_sim.Report.to_csv report)))
               csv_dir)
       ids;
     (* End-of-run accounting (sims, cache traffic, faults, degradations)
@@ -711,9 +705,8 @@ let sweep_cmd =
         Whisper_sim.Report.print report;
         Option.iter
           (fun path ->
-            let oc = open_out path in
-            output_string oc (Whisper_sim.Report.to_csv report);
-            close_out oc;
+            Whisper_util.Durable.write_atomic path
+              (Bytes.of_string (Whisper_sim.Report.to_csv report));
             Printf.eprintf "sweep: csv written to %s\n" path)
           csv);
     emit_telemetry ~summary:true ~metrics_out ~trace_out ()

@@ -1,122 +1,20 @@
 open Whisper_util
 open Whisper_trace
 
-let format_version = 1
+module Spec = struct
+  type value = Arena.t
+
+  let magic = "WARC"
+
+  (* the envelope's own version, on top of the arena codec's *)
+  let format_version = 1
+  let extension = ".arena"
+  let stage = Whisper_error.Arena_cache
+  let counter_prefix = "arena_cache"
+  let write = Arena.write
+  let read = Arena.read
+end
+
+include Keyed_store.Make (Spec)
+
 let default_subdir = "arenas"
-let magic_tag = "WARC"
-
-type counters = { write_failures : int; corrupt_dropped : int }
-
-type t = {
-  cache_dir : string;
-  corrupt : (key:string -> bytes -> bytes) option;
-  n_write_failures : int Atomic.t;
-  n_corrupt_dropped : int Atomic.t;
-}
-
-let m_loads = Telemetry.counter "arena_cache.loads"
-let m_stores = Telemetry.counter "arena_cache.stores"
-let m_corrupt = Telemetry.counter "arena_cache.corrupt_dropped"
-let m_write_failures = Telemetry.counter "arena_cache.write_failures"
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let create ?corrupt ~dir () =
-  mkdir_p dir;
-  {
-    cache_dir = dir;
-    corrupt;
-    n_write_failures = Atomic.make 0;
-    n_corrupt_dropped = Atomic.make 0;
-  }
-
-let dir t = t.cache_dir
-
-let counters t =
-  {
-    write_failures = Atomic.get t.n_write_failures;
-    corrupt_dropped = Atomic.get t.n_corrupt_dropped;
-  }
-
-let path t ~key =
-  Filename.concat t.cache_dir (Digest.to_hex (Digest.string key) ^ ".arena")
-
-(* The envelope binds the entry to its full key (so a digest collision or
-   a stale file decodes to Key_mismatch, not a wrong arena) and carries
-   its own version on top of the arena codec's. *)
-let encode ~key arena =
-  let w = Binio.Writer.create ~capacity:(64 + (5 * Arena.length arena)) () in
-  Binio.Writer.magic w magic_tag;
-  Binio.Writer.varint w format_version;
-  Binio.Writer.string w key;
-  Arena.write w arena;
-  Binio.Writer.contents w
-
-let decode_exn ~key b =
-  let r = Binio.Reader.create b in
-  Binio.Reader.magic r magic_tag;
-  let voff = Binio.Reader.pos r in
-  let v = Binio.Reader.varint r in
-  if v <> format_version then
-    Whisper_error.raise_error ~offset:voff ~context:key
-      Whisper_error.Arena_cache
-      (Whisper_error.Version_mismatch { got = v; expected = format_version });
-  let koff = Binio.Reader.pos r in
-  let k = Binio.Reader.string r in
-  if k <> key then
-    Whisper_error.raise_error ~offset:koff ~context:key
-      Whisper_error.Arena_cache Whisper_error.Key_mismatch;
-  let arena = Arena.read r in
-  if not (Binio.Reader.eof r) then
-    Whisper_error.raise_error ~offset:(Binio.Reader.pos r) ~context:key
-      Whisper_error.Arena_cache Whisper_error.Trailing_bytes;
-  arena
-
-let decode ~key b =
-  Whisper_error.protect ~context:key Whisper_error.Arena_cache (fun () ->
-      decode_exn ~key b)
-
-let find t ~key =
-  let file = path t ~key in
-  if not (Sys.file_exists file) then None
-  else
-    let read () =
-      let b = Binio.of_file file in
-      match t.corrupt with None -> b | Some f -> f ~key b
-    in
-    match
-      Whisper_error.protect ~context:key Whisper_error.Arena_cache (fun () ->
-          decode_exn ~key (read ()))
-    with
-    | Ok a ->
-        Telemetry.incr m_loads;
-        Some a
-    | Error _ ->
-        (* corrupt/stale entries (torn write, bit rot, version bump) are
-           dropped and counted, and the caller regenerates the arena *)
-        (try Sys.remove file with Sys_error _ -> ());
-        Atomic.incr t.n_corrupt_dropped;
-        Telemetry.incr m_corrupt;
-        None
-
-(* Best-effort, like Result_cache.store: a failing write must not abort
-   the run that already has the arena in memory. *)
-let store t ~key arena =
-  let file = path t ~key in
-  (* pid + domain, as in Result_cache.store: worker processes of one
-     sweep share this directory *)
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int)
-  in
-  try
-    Binio.to_file tmp (encode ~key arena);
-    Sys.rename tmp file;
-    Telemetry.incr m_stores
-  with Sys_error _ | Unix.Unix_error _ ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Atomic.incr t.n_write_failures;
-    Telemetry.incr m_write_failures

@@ -2,49 +2,15 @@
     ({!Whisper_trace.Arena}), so repeated CLI invocations skip the
     decode-once generation step entirely and replay straight from disk.
 
-    Same durability contract as {!Result_cache}: one file per arena named
-    by the digest of its key, a magic tag + format version + full-key
-    envelope on top of the arena codec's own version, corrupt or stale
-    entries dropped (and counted) on read with the caller regenerating,
-    and writes through a per-domain temp file plus atomic rename so
-    concurrent workers never expose partial entries. *)
+    A {!Whisper_util.Keyed_store} instance like {!Result_cache}: one
+    file per arena ([.arena], magic [WARC]) named by the digest of its
+    key, the envelope's own format version on top of the arena codec's,
+    corrupt or stale entries dropped and counted (the caller
+    regenerates), atomic best-effort writes, and telemetry counters
+    under [arena_cache.*]. *)
 
-type t
-
-type counters = { write_failures : int; corrupt_dropped : int }
+include Whisper_util.Keyed_store.S with type value := Whisper_trace.Arena.t
 
 val default_subdir : string
 (** ["arenas"] — the subdirectory of the result-cache root the runner
     places arena entries under. *)
-
-val create :
-  ?corrupt:(key:string -> bytes -> bytes) -> dir:string -> unit -> t
-(** Create the directory (and parents) if needed.  [corrupt] is the
-    fault-injection read hook, as in {!Result_cache.create}. *)
-
-val dir : t -> string
-val counters : t -> counters
-
-val path : t -> key:string -> string
-(** The entry file a given key maps to (for tests/tooling). *)
-
-val find : t -> key:string -> Whisper_trace.Arena.t option
-(** [None] on miss or on a corrupt/stale entry (which is deleted and
-    counted under [corrupt_dropped]). *)
-
-val store : t -> key:string -> Whisper_trace.Arena.t -> unit
-(** Best-effort; failures are swallowed and counted. *)
-
-val encode : key:string -> Whisper_trace.Arena.t -> bytes
-
-val decode :
-  key:string ->
-  bytes ->
-  (Whisper_trace.Arena.t, Whisper_util.Whisper_error.t) result
-(** Total: corrupt input, version skew and key mismatch all come back as
-    typed [Error]s (stage [Arena_cache]). *)
-
-val decode_exn : key:string -> bytes -> Whisper_trace.Arena.t
-(** @raise Whisper_util.Whisper_error.Error on corrupt input. *)
-
-val format_version : int

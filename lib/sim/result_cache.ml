@@ -1,165 +1,68 @@
 open Whisper_util
 open Whisper_pipeline
 
-(* v2: Machine's fixed-point cycle accounting (PR 9) changes the
-   rounding of every cycle/stall float, so v1 entries must not satisfy
-   lookups against the new accounting. *)
-let format_version = 2
-let default_dir = "_whisper_cache"
-let magic_tag = "WRSC"
+module Spec = struct
+  type value = Machine.result
 
-type counters = { write_failures : int; corrupt_dropped : int }
+  let magic = "WRSC"
 
-type t = {
-  cache_dir : string;
-  corrupt : (key:string -> bytes -> bytes) option;
-  n_write_failures : int Atomic.t;
-  n_corrupt_dropped : int Atomic.t;
-}
+  (* v2: Machine's fixed-point cycle accounting changes the rounding of
+     every cycle/stall float, so v1 entries must not satisfy lookups
+     against the new accounting. *)
+  let format_version = 2
+  let extension = ".res"
+  let stage = Whisper_error.Result_cache
+  let counter_prefix = "result_cache"
 
-let m_loads = Telemetry.counter "result_cache.loads"
-let m_stores = Telemetry.counter "result_cache.stores"
-let m_corrupt = Telemetry.counter "result_cache.corrupt_dropped"
-let m_write_failures = Telemetry.counter "result_cache.write_failures"
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let create ?corrupt ?(dir = default_dir) () =
-  mkdir_p dir;
-  {
-    cache_dir = dir;
-    corrupt;
-    n_write_failures = Atomic.make 0;
-    n_corrupt_dropped = Atomic.make 0;
-  }
-
-let dir t = t.cache_dir
-
-let counters t =
-  {
-    write_failures = Atomic.get t.n_write_failures;
-    corrupt_dropped = Atomic.get t.n_corrupt_dropped;
-  }
-
-let path t ~key =
-  Filename.concat t.cache_dir (Digest.to_hex (Digest.string key) ^ ".res")
-
-let encode ~key (r : Machine.result) =
-  let w = Binio.Writer.create () in
-  Binio.Writer.magic w magic_tag;
-  Binio.Writer.varint w format_version;
-  Binio.Writer.string w key;
-  Binio.Writer.float64 w r.Machine.cycles;
-  Binio.Writer.varint w r.instrs;
-  Binio.Writer.varint w r.branches;
-  Binio.Writer.varint w r.mispredicts;
-  Binio.Writer.float64 w r.misp_stall;
-  Binio.Writer.float64 w r.fe_stall;
-  Binio.Writer.float64 w r.btb_stall;
-  Binio.Writer.varint w r.l1i_misses;
-  Binio.Writer.varint w r.exposed_misses;
-  let int_array a =
-    Binio.Writer.varint w (Array.length a);
-    Array.iter (Binio.Writer.varint w) a
-  in
-  int_array r.seg_mispredicts;
-  int_array r.seg_instrs;
-  Binio.Writer.contents w
-
-let decode_exn ~key b =
-  let r = Binio.Reader.create b in
-  Binio.Reader.magic r magic_tag;
-  let voff = Binio.Reader.pos r in
-  let v = Binio.Reader.varint r in
-  if v <> format_version then
-    Whisper_error.raise_error ~offset:voff ~context:key
-      Whisper_error.Result_cache
-      (Whisper_error.Version_mismatch { got = v; expected = format_version });
-  let koff = Binio.Reader.pos r in
-  let k = Binio.Reader.string r in
-  if k <> key then
-    Whisper_error.raise_error ~offset:koff ~context:key
-      Whisper_error.Result_cache Whisper_error.Key_mismatch;
-  let cycles = Binio.Reader.float64 r in
-  let instrs = Binio.Reader.varint r in
-  let branches = Binio.Reader.varint r in
-  let mispredicts = Binio.Reader.varint r in
-  let misp_stall = Binio.Reader.float64 r in
-  let fe_stall = Binio.Reader.float64 r in
-  let btb_stall = Binio.Reader.float64 r in
-  let l1i_misses = Binio.Reader.varint r in
-  let exposed_misses = Binio.Reader.varint r in
-  let int_array () =
-    let n = Binio.Reader.count r in
-    Array.init n (fun _ -> Binio.Reader.varint r)
-  in
-  let seg_mispredicts = int_array () in
-  let seg_instrs = int_array () in
-  if not (Binio.Reader.eof r) then
-    Whisper_error.raise_error ~offset:(Binio.Reader.pos r) ~context:key
-      Whisper_error.Result_cache Whisper_error.Trailing_bytes;
-  {
-    Machine.cycles;
-    instrs;
-    branches;
-    mispredicts;
-    misp_stall;
-    fe_stall;
-    btb_stall;
-    l1i_misses;
-    exposed_misses;
-    seg_mispredicts;
-    seg_instrs;
-  }
-
-let decode ~key b =
-  Whisper_error.protect ~context:key Whisper_error.Result_cache (fun () ->
-      decode_exn ~key b)
-
-let find t ~key =
-  let file = path t ~key in
-  if not (Sys.file_exists file) then None
-  else
-    let read () =
-      let b = Binio.of_file file in
-      match t.corrupt with None -> b | Some f -> f ~key b
+  let write w (r : Machine.result) =
+    Binio.Writer.float64 w r.Machine.cycles;
+    Binio.Writer.varint w r.instrs;
+    Binio.Writer.varint w r.branches;
+    Binio.Writer.varint w r.mispredicts;
+    Binio.Writer.float64 w r.misp_stall;
+    Binio.Writer.float64 w r.fe_stall;
+    Binio.Writer.float64 w r.btb_stall;
+    Binio.Writer.varint w r.l1i_misses;
+    Binio.Writer.varint w r.exposed_misses;
+    let int_array a =
+      Binio.Writer.varint w (Array.length a);
+      Array.iter (Binio.Writer.varint w) a
     in
-    match
-      Whisper_error.protect ~context:key Whisper_error.Result_cache (fun () ->
-          decode_exn ~key (read ()))
-    with
-    | Ok r ->
-        Telemetry.incr m_loads;
-        Some r
-    | Error _ ->
-        (* corrupt/stale entries (torn write, bit rot, version bump) are
-           dropped and counted, and the caller recomputes *)
-        (try Sys.remove file with Sys_error _ -> ());
-        Atomic.incr t.n_corrupt_dropped;
-        Telemetry.incr m_corrupt;
-        None
+    int_array r.seg_mispredicts;
+    int_array r.seg_instrs
 
-(* Best-effort: the cache is an optimization, so a failing write (read-only
-   or bogus cache directory, disk full) must not abort a simulation that
-   already succeeded — but it is counted, so a fleet run can report how
-   much of its work failed to persist. *)
-let store t ~key r =
-  let file = path t ~key in
-  (* pid + domain: sweep worker processes share one cache directory, and
-     every process numbers its domains from 0 — the pid keeps two workers
-     storing the same key from interleaving writes into one temp file *)
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int)
-  in
-  try
-    Binio.to_file tmp (encode ~key r);
-    Sys.rename tmp file;
-    Telemetry.incr m_stores
-  with Sys_error _ | Unix.Unix_error _ ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Atomic.incr t.n_write_failures;
-    Telemetry.incr m_write_failures
+  let read r =
+    let cycles = Binio.Reader.float64 r in
+    let instrs = Binio.Reader.varint r in
+    let branches = Binio.Reader.varint r in
+    let mispredicts = Binio.Reader.varint r in
+    let misp_stall = Binio.Reader.float64 r in
+    let fe_stall = Binio.Reader.float64 r in
+    let btb_stall = Binio.Reader.float64 r in
+    let l1i_misses = Binio.Reader.varint r in
+    let exposed_misses = Binio.Reader.varint r in
+    let int_array () =
+      let n = Binio.Reader.count r in
+      Array.init n (fun _ -> Binio.Reader.varint r)
+    in
+    let seg_mispredicts = int_array () in
+    let seg_instrs = int_array () in
+    {
+      Machine.cycles;
+      instrs;
+      branches;
+      mispredicts;
+      misp_stall;
+      fe_stall;
+      btb_stall;
+      l1i_misses;
+      exposed_misses;
+      seg_mispredicts;
+      seg_instrs;
+    }
+end
+
+include Keyed_store.Make (Spec)
+
+let default_dir = "_whisper_cache"
+let create ?corrupt ?(dir = default_dir) () = create ?corrupt ~dir ()

@@ -2,62 +2,23 @@
     [whisper experiment] only simulates configurations that changed.
 
     Entries live under a cache directory (default [_whisper_cache/]),
-    one file per result, named by the digest of its key — the same
-    [technique_key × app × inputs × events × baseline_kb] string the
-    in-memory memo table uses.  Files carry a magic tag, a format
-    version and the full key; anything that fails to decode (trailing
-    garbage, version bump, digest collision, torn write) is treated as
-    a miss and removed, and the caller recomputes.  Writes go through a
-    per-domain temp file and an atomic rename, so concurrent workers
-    never expose partial entries.
+    one file per result ([.res], magic [WRSC]) named by the digest of
+    its key — the same [technique_key × app × inputs × events ×
+    baseline_kb] string the in-memory memo table uses.  A
+    {!Whisper_util.Keyed_store} instance: entries that fail to decode
+    are dropped and counted, writes are atomic and best effort, and the
+    counters go to telemetry under [result_cache.*].  A fleet run
+    surfaces the totals in its report summary rather than silently
+    losing cache effectiveness. *)
 
-    Both degradation paths are counted (see {!counters}): entries
-    dropped because they failed to decode, and writes that could not be
-    persisted.  A fleet run surfaces the totals in its report summary
-    rather than silently losing cache effectiveness. *)
-
-type t
-
-type counters = { write_failures : int; corrupt_dropped : int }
+include
+  Whisper_util.Keyed_store.S
+    with type value := Whisper_pipeline.Machine.result
 
 val default_dir : string
 (** ["_whisper_cache"] *)
 
 val create :
   ?corrupt:(key:string -> bytes -> bytes) -> ?dir:string -> unit -> t
-(** Create the directory (and parents) if needed.  [corrupt] is a
-    read-path hook applied to entry bytes before decoding — used by the
-    fault-injection harness to model on-disk bit rot; production callers
-    omit it. *)
-
-val dir : t -> string
-
-val counters : t -> counters
-(** Snapshot of the degradation counters accumulated so far. *)
-
-val path : t -> key:string -> string
-(** The entry file a given key maps to (for tests/tooling). *)
-
-val find : t -> key:string -> Whisper_pipeline.Machine.result option
-(** [None] on miss or on a corrupt/stale entry (which is deleted and
-    counted under [corrupt_dropped]). *)
-
-val store : t -> key:string -> Whisper_pipeline.Machine.result -> unit
-(** Best-effort: write failures (read-only or bogus cache directory,
-    disk full) are swallowed and counted under [write_failures] — the
-    result simply is not cached. *)
-
-val encode : key:string -> Whisper_pipeline.Machine.result -> bytes
-
-val decode :
-  key:string ->
-  bytes ->
-  (Whisper_pipeline.Machine.result, Whisper_util.Whisper_error.t) result
-(** Total: corrupt input, version skew and key mismatch all come back
-    as typed [Error]s carrying the byte offset of the fault. *)
-
-val decode_exn : key:string -> bytes -> Whisper_pipeline.Machine.result
-(** @raise Whisper_util.Whisper_error.Error on corrupt input, version
-    or key mismatch. *)
-
-val format_version : int
+(** As {!Whisper_util.Keyed_store.S.create}, with [dir] defaulting to
+    {!default_dir}. *)

@@ -59,6 +59,7 @@ type ctx = {
   lock : Mutex.t;
   cfgs : (string, Cfg.t) Hashtbl.t;
   profiles : (string, Profile.t) Hashtbl.t;
+  plans : (string, Whisper_core.Inject.t) Hashtbl.t;
   arenas : (string, Arena.t) Hashtbl.t;
   results : (string, Whisper_pipeline.Machine.result) Hashtbl.t;
   mutable n_sims : int;
@@ -124,6 +125,7 @@ let create_ctx ?(events = 1_200_000) ?(baseline_kb = 64) ?(jobs = 1)
     lock = Mutex.create ();
     cfgs = Hashtbl.create 32;
     profiles = Hashtbl.create 64;
+    plans = Hashtbl.create 16;
     arenas = Hashtbl.create 32;
     results = Hashtbl.create 256;
     n_sims = 0;
@@ -302,19 +304,37 @@ let whisper_analysis ?(config = Whisper_core.Config.default)
   let p = profile ~inputs:train_inputs ctx app in
   Whisper_core.Analyze.run ~config ~jobs ?pool p
 
+(* The one Whisper plan path, memoized like [run_key] minus the test
+   input; runtimes only read the plan, so sharing it is safe.  The
+   injection plan's correlation pass consumes a fixed-length trace
+   (Inject.default_trace_events) regardless of [ctx.ev]; replay it from
+   the packed arena when the arena covers it, otherwise fall back to a
+   fresh closure source.  Both emit the same stream prefix, so the plan
+   is identical either way (as it is for any [jobs]). *)
+let plan_for ?(jobs = 1) ?pool ctx app ~train_inputs ~kb config =
+  let key =
+    Printf.sprintf "%s/%s/%s/%d/%d" app.Workloads.name
+      (technique_key (Whisper config))
+      (String.concat "," (List.map string_of_int train_inputs))
+      kb ctx.ev
+  in
+  memo ctx ctx.plans key (fun () ->
+      let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
+      let analysis = Whisper_core.Analyze.run ~config ~jobs ?pool prof in
+      let cfg = cfg_of ctx app in
+      let train_input = List.hd train_inputs in
+      let plan_source =
+        match ctx.replay_mode with
+        | `Arena when ctx.ev >= Whisper_core.Inject.default_trace_events ->
+            Arena.source (arena ctx app ~input:train_input)
+        | `Arena | `Closure -> source ctx app ~input:train_input
+      in
+      Whisper_core.Inject.plan config cfg ~source:plan_source
+        ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg))
+
 let whisper_plan ?(config = Whisper_core.Config.default)
     ?(train_inputs = [ 0 ]) ?(jobs = 1) ?pool ctx app =
-  let analysis = whisper_analysis ~config ~train_inputs ~jobs ?pool ctx app in
-  let cfg = cfg_of ctx app in
-  let train_input = List.hd train_inputs in
-  let plan_source =
-    match ctx.replay_mode with
-    | `Arena when ctx.ev >= Whisper_core.Inject.default_trace_events ->
-        Arena.source (arena ctx app ~input:train_input)
-    | `Arena | `Closure -> source ctx app ~input:train_input
-  in
-  Whisper_core.Inject.plan config cfg ~source:plan_source
-    ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg)
+  plan_for ~jobs ?pool ctx app ~train_inputs ~kb:ctx.base_kb config
 
 (* Offline training shared by both replay paths: each of these returns a
    fresh technique runtime whose state is independent of how events will
@@ -333,26 +353,8 @@ let branchnet_runtime ctx app ~train_inputs ~kb budget =
   Whisper_branchnet.Branchnet.Runtime.create spec ~baseline:(baseline_of ~kb)
 
 let whisper_runtime ctx app ~train_inputs ~kb config =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let analysis = Whisper_core.Analyze.run ~config prof in
-  let cfg = cfg_of ctx app in
-  let train_input = List.hd train_inputs in
-  (* The injection plan's correlation pass consumes a fixed-length trace
-     (Inject.default_trace_events) regardless of [ctx.ev]; replay it from
-     the packed arena when the arena covers it, otherwise fall back to a
-     fresh closure source.  Both emit the same stream prefix, so the plan
-     is identical either way. *)
-  let plan_source =
-    match ctx.replay_mode with
-    | `Arena when ctx.ev >= Whisper_core.Inject.default_trace_events ->
-        Arena.source (arena ctx app ~input:train_input)
-    | `Arena | `Closure -> source ctx app ~input:train_input
-  in
-  let plan =
-    Whisper_core.Inject.plan config cfg ~source:plan_source
-      ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg)
-  in
-  Whisper_core.Runtime.create config ~baseline:(baseline_of ~kb) ~plan
+  Whisper_core.Runtime.create config ~baseline:(baseline_of ~kb)
+    ~plan:(plan_for ctx app ~train_inputs ~kb config)
 
 (* Build the per-event exec closure for a technique (closure replay). *)
 let make_exec ctx app technique ~train_inputs ~kb =
@@ -551,27 +553,27 @@ let exec_work ctx = function
       ignore (profile ~inputs:w.inputs ?baseline_kb:w.baseline_kb ctx w.app)
   | Prepare w -> ignore (arena ctx w.app ~input:w.input)
 
+(* Whether a Sim's result is already memoized or in the persistent
+   cache: it then needs neither training (hence no profile) nor an
+   arena. *)
+let sim_cached ctx sim =
+  let key = work_key ctx sim in
+  Hashtbl.mem ctx.results key
+  || Option.fold ~none:false
+       ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
+       ctx.cache
+
 (* Profiles a Sim's training step will need, declared explicitly so the
    batch driver can collect each one exactly once before the simulations
    fan out (instead of racing domains re-collecting the same profile). *)
 let implied_collects ctx works =
   List.filter_map
     (function
-      | Sim w when technique_needs_profile w.technique ->
+      | Sim w as sim
+        when technique_needs_profile w.technique && not (sim_cached ctx sim)
+        ->
           let kb = Option.value w.baseline_kb ~default:ctx.base_kb in
-          (* a cached result needs no training, hence no profile *)
-          let key =
-            run_key ctx w.app w.technique ~train_inputs:w.train_inputs
-              ~test_input:w.test_input ~kb
-          in
-          let cached =
-            Hashtbl.mem ctx.results key
-            || Option.fold ~none:false
-                 ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
-                 ctx.cache
-          in
-          if cached then None
-          else Some (collect ~inputs:w.train_inputs ~baseline_kb:kb w.app)
+          Some (collect ~inputs:w.train_inputs ~baseline_kb:kb w.app)
       | Sim _ | Collect _ | Prepare _ -> None)
     works
 
@@ -600,19 +602,8 @@ let implied_arenas ctx ~collects ~simulations =
     let acc =
       List.fold_left
         (fun acc -> function
-          | Sim w ->
-              let kb = Option.value w.baseline_kb ~default:ctx.base_kb in
-              let key =
-                run_key ctx w.app w.technique ~train_inputs:w.train_inputs
-                  ~test_input:w.test_input ~kb
-              in
-              let cached =
-                Hashtbl.mem ctx.results key
-                || Option.fold ~none:false
-                     ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
-                     ctx.cache
-              in
-              if cached then acc else add acc w.app w.test_input
+          | Sim w as sim ->
+              if sim_cached ctx sim then acc else add acc w.app w.test_input
           | Collect _ | Prepare _ -> acc)
         acc simulations
     in

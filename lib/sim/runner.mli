@@ -215,7 +215,10 @@ val whisper_plan :
   ctx ->
   Whisper_trace.Workloads.config ->
   Whisper_core.Inject.t
-(** Analysis + hint injection plan (for Fig. 19 overheads). *)
+(** Analysis + hint injection plan (for Fig. 19 overheads), memoized
+    per (app, config, train inputs, baseline KB, events).  The Whisper
+    runtimes {!make_exec} and {!make_exec_arena} build share the same
+    memoized plan, so a plan is analyzed once per ctx. *)
 
 (** {2 Declarative work items}
 

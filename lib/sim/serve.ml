@@ -200,32 +200,6 @@ let parse_step line =
 (* State-dir artifacts                                                *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_atomic path data =
-  mkdir_p (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_bytes oc data;
-  close_out oc;
-  Sys.rename tmp path
-
-let read_file path =
-  if not (Sys.file_exists path) then None
-  else
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      close_in ic;
-      Some b
-    with Sys_error _ -> None
-
 let chunk_path cfg ~app ~id =
   Filename.concat (Filename.concat cfg.state_dir "chunks")
     (Filename.concat app (id ^ ".bin"))
@@ -233,9 +207,6 @@ let chunk_path cfg ~app ~id =
 let plan_path cfg ~app ~gen =
   Filename.concat (Filename.concat cfg.state_dir "plans")
     (Filename.concat app (Printf.sprintf "g%04d.bin" gen))
-
-let manifest_path cfg = Filename.concat cfg.state_dir "manifest.bin"
-let journal_path cfg = Filename.concat cfg.state_dir "journal.bin"
 
 (* ------------------------------------------------------------------ *)
 (* Per-app service state                                              *)
@@ -326,7 +297,9 @@ let chunk_profile env st ~gen ~id =
           | Error _ -> None
       in
       let stored =
-        Option.bind (read_file (chunk_path env.cfg ~app:st.name ~id)) from_bytes
+        Option.bind
+          (Durable.read (chunk_path env.cfg ~app:st.name ~id))
+          from_bytes
       in
       (match stored with
       | Some _ as r -> r
@@ -406,7 +379,9 @@ let execute_step env st ~gen =
         if not (first_delivery st cid) then ("ok", 1)
         else begin
           Tm.incr m_ingested;
-          write_atomic (chunk_path env.cfg ~app:st.name ~id:cid) delivered;
+          Durable.write_atomic
+            (chunk_path env.cfg ~app:st.name ~id:cid)
+            delivered;
           Hashtbl.replace st.profiles cid profile;
           push_window env st ~gen ~id:cid;
           (* the re-delivery probe *)
@@ -464,7 +439,7 @@ let execute_step env st ~gen =
           | `Rollout ->
               begin
             let digest = Rescore.digest cand in
-            write_atomic
+            Durable.write_atomic
               (plan_path env.cfg ~app:st.name ~gen)
               (Rescore.encode cand);
             st.dep <-
@@ -537,7 +512,7 @@ let apply_step env st (s : step) =
         | Some dgen, Some digest, Some postcov when dgen = s.gen -> (
             match
               Option.map Rescore.decode
-                (read_file (plan_path env.cfg ~app:st.name ~gen:dgen))
+                (Durable.read (plan_path env.cfg ~app:st.name ~gen:dgen))
             with
             | Some (Ok plan) when Rescore.digest plan = digest ->
                 st.dep <-
@@ -668,19 +643,8 @@ let run cfg =
   let manifest = plan cfg in
   let mid = Manifest.id manifest in
   let total = Array.length manifest.Manifest.items in
-  let fresh () =
-    Manifest.save manifest ~path:(manifest_path cfg);
-    (Journal.create ~path:(journal_path cfg) ~manifest_id:mid, [], false, 0)
-  in
-  let journal, prior_entries, recovered, dropped =
-    if not cfg.resume then fresh ()
-    else
-      match Manifest.load ~path:(manifest_path cfg) with
-      | Ok m when Manifest.id m = mid -> (
-          match Journal.open_existing ~path:(journal_path cfg) ~manifest_id:mid with
-          | Ok (j, r) -> (j, r.Journal.entries, true, r.Journal.dropped_bytes)
-          | Error _ -> fresh ())
-      | Ok _ | Error _ -> fresh ()
+  let { Journal.journal; last = prior; recovered; dropped } =
+    Journal.open_or_resume ~dir:cfg.state_dir ~resume:cfg.resume manifest
   in
   if recovered then Tm.incr m_recovered;
   if dropped > 0 then Tm.add m_dropped dropped;
@@ -702,10 +666,6 @@ let run cfg =
       interrupted = false;
     }
   in
-  (* Last record per key wins: a crash between an artifact store and its
-     journal append re-journals the step on re-execution. *)
-  let prior = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace prior e.Journal.key e) prior_entries;
   let apps_in_order = cfg.apps in
   (* the whole scenario runs under one span so even a fully-resumed run
      (zero fresh analyses, zero machine work) exports a nonzero spans

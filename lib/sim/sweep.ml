@@ -758,9 +758,6 @@ let aggregate env =
     ~notes rows
   |> Report.with_mean
 
-let manifest_path cfg = Filename.concat cfg.state_dir "manifest.bin"
-let journal_path cfg = Filename.concat cfg.state_dir "journal.bin"
-
 type outcome = {
   report : Report.t option;
   manifest_id : string;
@@ -793,22 +790,8 @@ let run cfg =
   let mid = Manifest.id manifest in
   let total = Array.length manifest.Manifest.items in
   Tm.add m_items total;
-  let fresh () =
-    Manifest.save manifest ~path:(manifest_path cfg);
-    (Journal.create ~path:(journal_path cfg) ~manifest_id:mid, [], false, 0)
-  in
-  let journal, prior_entries, recovered, dropped =
-    if not cfg.resume then fresh ()
-    else
-      match Manifest.load ~path:(manifest_path cfg) with
-      | Ok m when Manifest.id m = mid -> (
-          match
-            Journal.open_existing ~path:(journal_path cfg) ~manifest_id:mid
-          with
-          | Ok (j, r) ->
-              (j, r.Journal.entries, true, r.Journal.dropped_bytes)
-          | Error _ -> fresh ())
-      | Ok _ | Error _ -> fresh ()
+  let { Journal.journal; last = prior; recovered; dropped } =
+    Journal.open_or_resume ~dir:cfg.state_dir ~resume:cfg.resume manifest
   in
   if recovered then Tm.incr m_recovered;
   if dropped > 0 then Tm.add m_dropped dropped;
@@ -823,12 +806,9 @@ let run cfg =
       interrupted = false;
     }
   in
-  (* Replay the journal: the last record per key wins (an item can be
-     re-journaled if a crash landed between its cache store and its
-     append).  Done entries are only trusted if the result cache still
-     holds the exact result they recorded — anything else re-runs. *)
-  let prior = Hashtbl.create 64 in
-  List.iter (fun e -> Hashtbl.replace prior e.Journal.key e) prior_entries;
+  (* Replay the journal.  Done entries are only trusted if the result
+     cache still holds the exact result they recorded — anything else
+     re-runs. *)
   let verify_cache = Result_cache.create ~dir:cache_dir () in
   let resumed = ref 0 in
   let pending = Queue.create () in

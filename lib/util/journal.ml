@@ -142,12 +142,6 @@ let decode_all ~manifest_id b =
           corrupt_tail = dropped > 0;
         }
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_all fd b =
   let n = Bytes.length b in
   let off = ref 0 in
@@ -158,32 +152,25 @@ let write_all fd b =
 let open_append path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
 
 let create ~path ~manifest_id =
-  mkdir_p (Filename.dirname path);
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  write_all fd (encode_header ~manifest_id);
-  { jpath = path; fd = Some fd }
+  Durable.write_atomic path (encode_header ~manifest_id);
+  { jpath = path; fd = Some (open_append path) }
 
 let open_existing ~path ~manifest_id =
-  if not (Sys.file_exists path) then
-    Error
-      (Whisper_error.make ~context:path Whisper_error.Journal
-         (Whisper_error.Malformed "no such journal"))
-  else
-    let b = Binio.of_file path in
-    match decode_all ~manifest_id b with
-    | Error e -> Error e
-    | Ok recovery ->
-        if recovery.corrupt_tail then begin
-          (* truncate the torn suffix atomically, caches-style: rewrite
-             the good prefix next to the file and rename over it *)
-          let keep = Bytes.length b - recovery.dropped_bytes in
-          let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-          Binio.to_file tmp (Bytes.sub b 0 keep);
-          Sys.rename tmp path
-        end;
-        Ok ({ jpath = path; fd = Some (open_append path) }, recovery)
+  match Durable.read path with
+  | None ->
+      Error
+        (Whisper_error.make ~context:path Whisper_error.Journal
+           (Whisper_error.Malformed "no such journal"))
+  | Some b -> (
+      match decode_all ~manifest_id b with
+      | Error e -> Error e
+      | Ok recovery ->
+          (* truncate the torn suffix atomically: rewrite the good prefix
+             next to the file and rename it over *)
+          if recovery.corrupt_tail then
+            Durable.write_atomic path
+              (Bytes.sub b 0 (Bytes.length b - recovery.dropped_bytes));
+          Ok ({ jpath = path; fd = Some (open_append path) }, recovery))
 
 let append t e =
   match t.fd with
@@ -202,3 +189,33 @@ let close t =
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let path t = t.jpath
+
+type opened = {
+  journal : t;
+  last : (string, entry) Hashtbl.t;
+  recovered : bool;
+  dropped : int;
+}
+
+let open_or_resume ~dir ~resume manifest =
+  let mid = Manifest.id manifest in
+  let manifest_path = Filename.concat dir "manifest.bin" in
+  let path = Filename.concat dir "journal.bin" in
+  let same_manifest () =
+    Result.map Manifest.id (Manifest.load ~path:manifest_path) = Ok mid
+  in
+  match
+    if resume && same_manifest () then
+      Result.to_option (open_existing ~path ~manifest_id:mid)
+    else None
+  with
+  | Some (journal, r) ->
+      (* the last record per key wins: a crash between a step's side
+         effects and its append re-journals the step when it re-runs *)
+      let last = Hashtbl.create 64 in
+      List.iter (fun e -> Hashtbl.replace last e.key e) r.entries;
+      { journal; last; recovered = true; dropped = r.dropped_bytes }
+  | None ->
+      Manifest.save manifest ~path:manifest_path;
+      let journal = create ~path ~manifest_id:mid in
+      { journal; last = Hashtbl.create 1; recovered = false; dropped = 0 }

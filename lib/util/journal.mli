@@ -1,13 +1,15 @@
-(** Append-only, checksummed completion journal for crash-safe sweeps.
+(** Append-only, checksummed completion journal for crash-safe sweeps
+    and serve runs.
 
-    The journal is the supervisor's write-ahead record of work-item
-    outcomes: one self-contained record per completed or quarantined
-    item, appended (and pushed to the OS) before the item is considered
-    done.  A process killed with [SIGKILL] at any instant therefore
-    leaves either a fully decodable journal, or one with a torn final
-    record — and recovery handles the torn case by {e truncating} the
-    corrupt suffix (tmp + rename, like the persistent caches) and
-    counting what was dropped, so the affected items simply re-run.
+    The journal is the write-ahead record of work-item outcomes: one
+    self-contained record per completed or quarantined item, appended
+    (and fsync'd) before the item is considered done.  A process killed
+    with [SIGKILL] at any instant therefore leaves either a fully
+    decodable journal, or one with a torn final record — and recovery
+    handles the torn case by {e truncating} the corrupt suffix
+    ({!Durable.write_atomic}) and counting what was dropped, so the
+    affected items simply re-run.  {!open_or_resume} binds a journal to
+    its manifest in a state directory (DESIGN.md §17).
 
     Records carry a marker byte, a length-guarded varint payload size
     and an 8-byte payload digest; the header binds the journal to one
@@ -33,16 +35,16 @@ type recovery = {
 val format_version : int
 
 val create : path:string -> manifest_id:string -> t
-(** Start a fresh journal (truncating any existing file) bound to
-    [manifest_id].  Creates parent directories. *)
+(** Start a fresh journal bound to [manifest_id], atomically replacing
+    any existing file.  Creates parent directories. *)
 
 val open_existing :
   path:string -> manifest_id:string -> (t * recovery, Whisper_error.t) result
 (** Recover an existing journal: verify the header (typed [Error] on a
-    missing file, bad magic, version skew or a different manifest id —
-    the caller then starts fresh), decode records until the first
-    corrupt one, truncate the corrupt suffix in place (atomic rewrite),
-    and return the journal opened for further appends. *)
+    missing or unreadable file, bad magic, version skew or a different
+    manifest id — the caller then starts fresh), decode records until
+    the first corrupt one, truncate the corrupt suffix in place (atomic
+    rewrite), and return the journal opened for further appends. *)
 
 val append : t -> entry -> unit
 (** Append one record and push it to the OS before returning.  Write
@@ -53,6 +55,21 @@ val close : t -> unit
 val path : t -> string
 
 val entry_equal : entry -> entry -> bool
+
+type opened = {
+  journal : t;  (** open for appends *)
+  last : (string, entry) Hashtbl.t;
+      (** the last recovered record per key; empty when fresh *)
+  recovered : bool;  (** an existing journal was resumed *)
+  dropped : int;  (** torn-tail bytes truncated away *)
+}
+
+val open_or_resume : dir:string -> resume:bool -> Manifest.t -> opened
+(** The journal of state directory [dir] ([manifest.bin],
+    [journal.bin]).  With [resume], a stored manifest of the same id and
+    a journal that {!open_existing} recovers are resumed; otherwise
+    [manifest] is saved and a fresh journal created, so a config change
+    starts over.  Callers replay [last] and keep their own counters. *)
 
 (** {2 Codec internals, exposed for fuzzing} *)
 

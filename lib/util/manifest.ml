@@ -57,23 +57,14 @@ let decode_exn b =
 let decode b =
   Whisper_error.protect Whisper_error.Manifest (fun () -> decode_exn b)
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let save t ~path =
-  mkdir_p (Filename.dirname path);
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  Binio.to_file tmp (encode t);
-  Sys.rename tmp path
+let save t ~path = Durable.write_atomic path (encode t)
 
 let load ~path =
-  if not (Sys.file_exists path) then
-    Error
-      (Whisper_error.make ~context:path Whisper_error.Manifest
-         (Whisper_error.Malformed "no such manifest"))
-  else
-    Whisper_error.protect ~context:path Whisper_error.Manifest (fun () ->
-        decode_exn (Binio.of_file path))
+  match Durable.read path with
+  | None ->
+      Error
+        (Whisper_error.make ~context:path Whisper_error.Manifest
+           (Whisper_error.Malformed "no such manifest"))
+  | Some b ->
+      Whisper_error.protect ~context:path Whisper_error.Manifest (fun () ->
+          decode_exn b)

@@ -9,10 +9,11 @@
     to that id, which is what makes resuming after [kill -9] safe: a
     journal can never be replayed against a different item set.
 
-    Files follow the persistent caches' discipline: magic tag, varint
-    format version, count-guarded decoding through {!Binio} (every
-    failure a typed {!Whisper_error.t} with stage [Manifest]), and
-    tmp+rename stores so readers never observe a torn manifest. *)
+    Files carry a magic tag and a varint format version, decode through
+    count-guarded {!Binio} reads (every failure a typed
+    {!Whisper_error.t} with stage [Manifest]), and are stored with
+    {!Durable.write_atomic}, so readers never observe a torn manifest.
+    {!Journal.open_or_resume} is how sweep and serve use them. *)
 
 type item = { key : string; spec : string }
 (** [key] is the item's stable result key; [spec] is an opaque,
@@ -37,9 +38,10 @@ val decode : bytes -> (t, Whisper_error.t) result
     come back as typed [Error]s (stage [Manifest]). *)
 
 val save : t -> path:string -> unit
-(** Atomic store (tmp + rename).  Creates parent directories.
-    @raise Sys_error when the destination is not writable. *)
+(** {!Durable.write_atomic} of {!encode}.
+    @raise Sys_error or [Unix.Unix_error] when the destination is not
+    writable. *)
 
 val load : path:string -> (t, Whisper_error.t) result
-(** [Error] with kind [Malformed] when the file is missing, otherwise
-    {!decode} of its contents. *)
+(** [Error] with kind [Malformed] when the file is missing or
+    unreadable, otherwise {!decode} of its contents. *)

@@ -395,8 +395,4 @@ let to_chrome s =
        ])
 
 let write_file ~path content =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  Durable.write_atomic path (Bytes.unsafe_of_string content)

@@ -143,4 +143,5 @@ val to_chrome : snapshot -> string
     track per domain. *)
 
 val write_file : path:string -> string -> unit
-(** Write atomically enough for CI consumption (tmp + rename). *)
+(** {!Durable.write_atomic}: parent directories are created, and a
+    reader never sees a partial file. *)

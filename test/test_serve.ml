@@ -489,6 +489,38 @@ let test_serve_resume_identity_faulted () =
   check_bool "faulted ledger byte-identical across kill/resume" true
     (clean.Whisper_sim.Serve.ledger = fin.Whisper_sim.Serve.ledger)
 
+(* The state dir is bound to its scenario: resuming under a different
+   config must not replay the old journal, but start over as a fresh
+   run would (sweep behaves the same way). *)
+let test_serve_resume_config_change_starts_fresh () =
+  let dir = Test_dirs.fresh "serve_rekey" in
+  let cfg = serve_cfg ~generations:2 ~state_dir:dir () in
+  ignore (Whisper_sim.Serve.run cfg);
+  let same =
+    Whisper_sim.Serve.run { cfg with Whisper_sim.Serve.resume = true }
+  in
+  check_bool "same config resumes the journal" true
+    same.Whisper_sim.Serve.journal_recovered;
+  let changed =
+    Whisper_sim.Serve.run
+      { cfg with Whisper_sim.Serve.resume = true; decay_frac = 0.25 }
+  in
+  check_bool "changed config does not recover the journal" false
+    changed.Whisper_sim.Serve.journal_recovered;
+  check_int "nothing replayed" 0 changed.Whisper_sim.Serve.resumed;
+  check_int "every step ran" changed.Whisper_sim.Serve.total
+    changed.Whisper_sim.Serve.completed;
+  let fresh =
+    Whisper_sim.Serve.run
+      {
+        cfg with
+        Whisper_sim.Serve.decay_frac = 0.25;
+        state_dir = Test_dirs.fresh "serve_rekey_ref";
+      }
+  in
+  check_bool "ledger equals a fresh run's" true
+    (fresh.Whisper_sim.Serve.ledger = changed.Whisper_sim.Serve.ledger)
+
 let test_serve_drift_recovery () =
   let cfg =
     serve_cfg ~generations:10
@@ -593,6 +625,8 @@ let () =
             test_serve_resume_identity;
           Alcotest.test_case "faulted kill/resume ledger identity" `Slow
             test_serve_resume_identity_faulted;
+          Alcotest.test_case "resume after a config change starts fresh"
+            `Slow test_serve_resume_config_change_starts_fresh;
           Alcotest.test_case "drift detection recovers coverage" `Slow
             test_serve_drift_recovery;
           Alcotest.test_case "stationary scenario" `Slow
