@@ -4,7 +4,8 @@
    layers could disturb stay exactly what they are.  Each case digests
    one output and compares it with a pinned value:
    - Plan_io bytes of Runner.whisper_plan for two catalog apps;
-   - Result_cache entries of Runner.run for three techniques;
+   - Profile_io bytes of Runner.profile_arena at three baseline budgets;
+   - Result_cache entries of Runner.run for every technique;
    - one Arena_cache entry;
    - the Sweep and Serve manifest ids;
    - an in-process jobs = 1 sweep: report text + CSV and journal.bin;
@@ -51,7 +52,53 @@ let test_result_entries () =
       in
       let r = Runner.run ctx a tech in
       check ("result " ^ tech_name) expected (md5b (Result_cache.encode ~key r)))
-    [ ("tage-scl", "38e0b869d8fa7aaf79062f6db67307f5"); ("8b-rombf", "7e696b8d29ca1e8ce34aae141bb9252a"); ("whisper", "aa77d91fd5f13efbf0759b30276ce267") ]
+    [
+      ("tage-scl", "38e0b869d8fa7aaf79062f6db67307f5");
+      ("ideal", "1a179d1d8703e5e5bd710abe675d106c");
+      ("mtage-sc", "ebabab6360650df1030d2389cdfc179b");
+      ("8b-rombf", "7e696b8d29ca1e8ce34aae141bb9252a");
+      ("whisper", "aa77d91fd5f13efbf0759b30276ce267");
+    ]
+
+(* BranchNet deploys no model on mysql at 20 k events, so its rows are
+   pinned on python at 60 k events, where the 8 KB walk fills its budget
+   (17 of 20 accepted models) and the 32 KB and unlimited walks do not. *)
+let test_branchnet_entries () =
+  let ctx = Runner.create_ctx ~events:60_000 () in
+  let a = app "python" in
+  List.iter
+    (fun (budget, expected) ->
+      let tech = Runner.Branchnet budget in
+      let key =
+        Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
+          ~kb:(Runner.baseline_kb ctx)
+      in
+      let r = Runner.run ctx a tech in
+      check
+        ("result " ^ Runner.technique_name tech)
+        expected
+        (md5b (Result_cache.encode ~key r)))
+    Whisper_branchnet.Branchnet.
+      [
+        (Budget 8192, "56f5973b2d3b1760111f4950da75a38d");
+        (Budget 32768, "ac1119db1a3139522efc36e34e2eced4");
+        (Unlimited, "c39fc7efc47af6940e875f07c3eb4df2");
+      ]
+
+let test_profiles () =
+  let ctx = Runner.create_ctx ~events () in
+  let arena = Runner.arena ctx (app "python") ~input:0 in
+  List.iter
+    (fun (kb, expected) ->
+      check
+        (Printf.sprintf "profile %d KB" kb)
+        expected
+        (md5b (Profile_io.to_bytes (Runner.profile_arena ~kb arena))))
+    [
+      (8, "9f658e73fdc3640cb8710371cef65ac2");
+      (64, "bb6f85d21ed28f02fc2b16bfd88ebc5b");
+      (1024, "d16aaa47af23d4c9d860eaf0b3716e79");
+    ]
 
 let test_arena_entry () =
   let ctx = Runner.create_ctx ~events () in
@@ -122,6 +169,9 @@ let () =
         [
           Alcotest.test_case "whisper plans" `Quick test_plans;
           Alcotest.test_case "result-cache entries" `Quick test_result_entries;
+          Alcotest.test_case "branchnet result-cache entries" `Quick
+            test_branchnet_entries;
+          Alcotest.test_case "lbr profiles" `Quick test_profiles;
           Alcotest.test_case "arena-cache entry" `Quick test_arena_entry;
           Alcotest.test_case "manifest ids" `Quick test_manifest_ids;
           Alcotest.test_case "sweep report and journal" `Quick
