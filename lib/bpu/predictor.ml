@@ -16,6 +16,17 @@ module Compiled = struct
   }
 end
 
+let exec_hybrid t ~decision ~pc ~taken =
+  if decision >= 0 then begin
+    t.spectate ~pc ~taken;
+    decision = Bool.to_int taken
+  end
+  else begin
+    let pred = t.predict ~pc in
+    t.train ~pc ~taken;
+    t.is_oracle || pred = taken
+  end
+
 let always_taken () =
   {
     name = "always-taken";

@@ -36,6 +36,14 @@ type t = {
     [verdicts.[i] = '\001'] iff event [i]'s direction was predicted
     correctly (['\000'] otherwise).  [verdicts] is caller-owned scratch
     of at least [n] bytes; bytes beyond [n] must be left untouched.
+
+    A hybrid over a baseline ({!exec_hybrid}) fills in two phases: its
+    own decision function writes the verdicts of the events it covers
+    and a covered mask, then the baseline's kernel
+    ({!Tage_scl.fill}) fills the uncovered events.  On a covered event
+    the kernel only advances history (the [spectate] rule) and leaves
+    the verdict byte alone.
+
     The closure path survives as the differential oracle: a compiled
     kernel must produce byte-identical [Machine.result]s, enforced by
     catalog tests, fuzz, and an in-bench assert. *)
@@ -47,6 +55,13 @@ module Compiled : sig
       arena:Whisper_trace.Arena.t -> n:int -> verdicts:Bytes.t -> unit;
   }
 end
+
+val exec_hybrid : t -> decision:int -> pc:int -> taken:bool -> bool
+(** One event of a hybrid predictor over the baseline [t] (ROMBF,
+    BranchNet and Whisper are all such hybrids).  [decision] is the
+    hybrid's own direction for the event (0 or 1), and the baseline
+    spectates; or it is [-1], and the baseline predicts and trains.
+    Returns whether the event's direction was predicted correctly. *)
 
 val always_taken : unit -> t
 (** Static predictor, the weakest baseline. *)

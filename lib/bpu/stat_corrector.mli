@@ -4,6 +4,12 @@
     it is strong — catching statistically-biased branches that TAGE's
     tagged entries track poorly. *)
 
+val hist_lens : int array
+(** History length of each counter bank. *)
+
+val initial_threshold : int
+(** Starting veto threshold. *)
+
 type t
 
 val create : log_entries:int -> t

@@ -59,12 +59,13 @@ type t = {
 
 let history_lengths t = Array.map (fun tb -> tb.len) t.tables
 
+let lengths p =
+  if p.n_tables = 1 then [| p.max_len |]
+  else Geometric.series ~a:p.min_len ~n:p.max_len ~m:p.n_tables
+
 let create p =
   if p.n_tables < 1 then invalid_arg "Tage.create";
-  let lengths =
-    if p.n_tables = 1 then [| p.max_len |]
-    else Geometric.series ~a:p.min_len ~n:p.max_len ~m:p.n_tables
-  in
+  let lengths = lengths p in
   let entries = 1 lsl p.log_entries in
   let hist = History.create ~depth:(max 64 (2 * p.max_len)) in
   let tables =
@@ -288,30 +289,4 @@ let predictor p =
     spectate = (fun ~pc ~taken -> spectate t ~pc ~taken);
     storage_bits = storage_bits t;
     is_oracle = false;
-  }
-
-let exec t ~pc ~taken =
-  let pred = predict t ~pc in
-  train t ~pc ~taken;
-  pred = taken
-
-let compiled p =
-  let name = Printf.sprintf "tage-%dt-2^%d" p.n_tables p.log_entries in
-  let storage_bits =
-    (* same accounting as [storage_bits], without building the tables *)
-    (p.n_tables * (1 lsl p.log_entries) * (p.tag_bits + 3 + 2))
-    + (2 * (1 lsl p.log_bimodal))
-  in
-  {
-    Predictor.Compiled.name;
-    storage_bits;
-    fill =
-      (fun ~arena ~n ~verdicts ->
-        let t = create p in
-        for i = 0 to n - 1 do
-          let pc = Whisper_trace.Arena.pc arena i in
-          let taken = Whisper_trace.Arena.taken arena i in
-          Bytes.unsafe_set verdicts i
-            (if exec t ~pc ~taken then '\001' else '\000')
-        done);
   }

@@ -25,6 +25,10 @@ val default_params : params
 
 type t
 
+val lengths : params -> int array
+(** The tagged tables' history lengths, shortest first: a geometric
+    series from [min_len] to [max_len]. *)
+
 val create : params -> t
 
 val history_lengths : t -> int array
@@ -47,12 +51,3 @@ val spectate : t -> pc:int -> taken:bool -> unit
 
 val predictor : params -> Predictor.t
 (** Package as a {!Predictor.t}. *)
-
-val exec : t -> pc:int -> taken:bool -> bool
-(** Fused predict→train: runs the full protocol with direct known calls
-    and returns whether the direction was predicted correctly —
-    state evolution identical to calling {!predict} then {!train}. *)
-
-val compiled : params -> Predictor.Compiled.t
-(** Staged arena kernel (fresh instance per [fill] call); see
-    {!Predictor.Compiled} for the contract. *)

@@ -6,25 +6,46 @@
 type t
 
 val create : Sizes.t -> t
-val standard : unit -> t
-(** 64 KB configuration. *)
-
 val storage_bits : t -> int
 
 val predict : t -> pc:int -> bool
 val train : t -> pc:int -> taken:bool -> unit
 val spectate : t -> pc:int -> taken:bool -> unit
 
-val debug_reason : t -> string
-(** Which component produced the last prediction (diagnostics). *)
-
 val predictor : Sizes.t -> Predictor.t
 (** Package as a {!Predictor.t} named ["tage-scl-<kb>KB"]. *)
 
-val exec : t -> pc:int -> taken:bool -> bool
-(** Fused predict→train with direct known calls; state evolution
-    identical to {!predict} followed by {!train}. *)
+val fill :
+  Sizes.t ->
+  arena:Whisper_trace.Arena.t ->
+  n:int ->
+  covered:Bytes.t ->
+  verdicts:Bytes.t ->
+  unit
+(** The flat arena kernel: a fresh predictor runs events [0 .. n-1] and
+    writes [verdicts] as {!Predictor.Compiled} specifies, except that an
+    event with [covered.[i] <> '\000'] is served by some other
+    predictor: it only advances history (the {!spectate} rule) and its
+    verdict byte is left as the caller wrote it.  History is the arena's
+    taken bitmap, so the verdicts equal those of {!predictor} driven
+    event by event.
+    @raise Invalid_argument if [n] exceeds the arena, [covered] or
+    [verdicts] is shorter than [n], or the tags are not 2 to 15 bits
+    wide. *)
+
+val hybrid :
+  Sizes.t ->
+  decide:(int -> int) ->
+  arena:Whisper_trace.Arena.t ->
+  n:int ->
+  verdicts:Bytes.t ->
+  unit
+(** The fill of a hybrid over this baseline (see
+    {!Predictor.exec_hybrid}).  [decide i] runs the hybrid's own half on
+    event [i] of [arena], in order, and returns its [decision].  The
+    covered events' verdicts and mask are written first, then {!fill}
+    runs the rest.  Sound because no hybrid's decisions read the
+    baseline's state. *)
 
 val compiled : Sizes.t -> Predictor.Compiled.t
-(** Staged arena kernel (fresh instance per [fill] call); see
-    {!Predictor.Compiled} for the contract. *)
+(** {!fill} with nothing covered, as a {!Predictor.Compiled.t}. *)

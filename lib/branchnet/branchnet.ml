@@ -39,10 +39,15 @@ let train ?(budget = Unlimited) ?(epochs = 12) ?(max_models = 256)
   let t0 = Unix.gettimeofday () in
   let models = Hashtbl.create 64 in
   let used_bytes = ref 0 in
+  (* every model has the same shape, so once one no longer fits in the
+     budget none does, and the walk stops *)
+  let model_bytes =
+    Model.storage_bytes (Model.create ~n_lengths:feature_bytes ~seed:0 ())
+  in
   let budget_left () =
     match budget with
     | Unlimited -> Hashtbl.length models < max_models
-    | Budget b -> !used_bytes < b
+    | Budget b -> !used_bytes + model_bytes <= b
   in
   let candidates = Profile.candidates profile in
   let i = ref 0 in
@@ -64,11 +69,8 @@ let train ?(budget = Unlimited) ?(epochs = 12) ?(max_models = 256)
       let required = max min_eval_gain ((baseline + 9) / 10) in
       if baseline - !m >= required then begin
         (* the budget pays for every deployed model *)
-        (match budget with
-        | Budget b when !used_bytes + Model.storage_bytes model > b -> ()
-        | _ ->
-            Hashtbl.replace models pc model;
-            used_bytes := !used_bytes + Model.storage_bytes model)
+        Hashtbl.replace models pc model;
+        used_bytes := !used_bytes + model_bytes
       end
     end
   done;
@@ -91,30 +93,24 @@ module Runtime = struct
   let create spec ~baseline =
     { spec; base = baseline; ghist = 0; features = Array.make feature_bytes 0; n_covered = 0 }
 
-  let exec_at rt ~pc ~taken =
-    let covered =
+  let decide rt ~pc ~taken =
+    let d =
       match Hashtbl.find_opt rt.spec.models pc with
-      | None -> None
+      | None -> -1
       | Some model ->
           for b = 0 to feature_bytes - 1 do
             rt.features.(b) <- (rt.ghist lsr (8 * b)) land 0xFF
           done;
-          Some (Model.predict model ~features:rt.features)
-    in
-    let correct =
-      match covered with
-      | Some pred ->
           rt.n_covered <- rt.n_covered + 1;
-          rt.base.spectate ~pc ~taken;
-          pred = taken
-      | None ->
-          let pred = rt.base.predict ~pc in
-          rt.base.train ~pc ~taken;
-          rt.base.is_oracle || pred = taken
+          Bool.to_int (Model.predict model ~features:rt.features)
     in
     rt.ghist <-
-      ((rt.ghist lsl 1) lor (if taken then 1 else 0)) land 0xFF_FFFF_FFFF_FFFF;
-    correct
+      ((rt.ghist lsl 1) lor Bool.to_int taken) land 0xFF_FFFF_FFFF_FFFF;
+    d
+
+  let exec_at rt ~pc ~taken =
+    Whisper_bpu.Predictor.exec_hybrid rt.base
+      ~decision:(decide rt ~pc ~taken) ~pc ~taken
 
   let exec rt (e : Branch.event) = exec_at rt ~pc:e.pc ~taken:e.taken
 

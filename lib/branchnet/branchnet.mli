@@ -42,8 +42,15 @@ module Runtime : sig
   val exec : rt -> Whisper_trace.Branch.event -> bool
 
   val exec_at : rt -> pc:int -> taken:bool -> bool
-  (** [exec] on unboxed event fields — the arena replay path, which
-      never materializes a [Branch.event] record. *)
+  (** [exec] on unboxed event fields, which never materializes a
+      [Branch.event] record. *)
+
+  val decide : rt -> pc:int -> taken:bool -> int
+  (** The model's half of {!exec_at}: the covered branch's predicted
+      direction (0 or 1), or [-1] when no model covers it and the
+      baseline predicts it ({!Whisper_bpu.Predictor.exec_hybrid}).
+      Advances the raw history and the coverage counter; never touches
+      the baseline. *)
 
   val covered_predictions : rt -> int
 end

@@ -113,7 +113,6 @@ module Reference = struct
   let exec t (e : Branch.event) =
     exec_at t ~block:e.Branch.block ~pc:e.pc ~taken:e.taken
 
-  let predictor_name t = "whisper+" ^ t.base.name
   let hinted_predictions t = t.n_hinted
   let hinted_mispredictions t = t.n_hinted_wrong
   let baseline_predictions t = t.n_base
@@ -256,13 +255,7 @@ let create (cfg : Config.t) ~baseline ~plan =
     n_base = 0;
   }
 
-let baseline_predict t ~pc ~taken =
-  t.n_base <- t.n_base + 1;
-  let pred = t.base.Whisper_bpu.Predictor.predict ~pc in
-  t.base.train ~pc ~taken;
-  t.base.is_oracle || pred = taken
-
-let exec_at t ~block ~pc ~taken =
+let decide t ~block ~pc ~taken =
   (* 1. execute any brhints hosted in this block: a contiguous CSR entry
      range, each deposited into the hint buffer as its entry index *)
   if block <= t.max_host then begin
@@ -276,24 +269,22 @@ let exec_at t ~block ~pc ~taken =
      offset resolves the hint with one bit test (off = -1 marks the
      Dynamic bias, which falls through to the baseline like a miss) *)
   let e = Hint_buffer.probe t.buf ~branch_pc:pc in
-  let correct =
-    if e >= 0 then begin
-      let off = Array.unsafe_get t.e_off e in
-      if off >= 0 then begin
-        t.n_hinted <- t.n_hinted + 1;
-        t.base.spectate ~pc ~taken;
-        let hash =
-          History.Folded.value
-            (Array.unsafe_get t.folds (Array.unsafe_get t.e_fold e))
-        in
-        let pred = Whisper_formula.Tree.eval_packed_at t.bank ~off hash in
-        let ok = pred = taken in
-        if not ok then t.n_hinted_wrong <- t.n_hinted_wrong + 1;
-        ok
-      end
-      else baseline_predict t ~pc ~taken
+  let off = if e >= 0 then Array.unsafe_get t.e_off e else -1 in
+  let d =
+    if off >= 0 then begin
+      t.n_hinted <- t.n_hinted + 1;
+      let hash =
+        History.Folded.value
+          (Array.unsafe_get t.folds (Array.unsafe_get t.e_fold e))
+      in
+      let pred = Whisper_formula.Tree.eval_packed_at t.bank ~off hash in
+      if pred <> taken then t.n_hinted_wrong <- t.n_hinted_wrong + 1;
+      Bool.to_int pred
     end
-    else baseline_predict t ~pc ~taken
+    else begin
+      t.n_base <- t.n_base + 1;
+      -1
+    end
   in
   (* 3. advance the folded-history mirror — only the registers the plan
      reads, then the shared outcome ring *)
@@ -303,7 +294,12 @@ let exec_at t ~block ~pc ~taken =
       ~newest:taken
   done;
   History.push t.hist taken;
-  correct
+  d
+
+let exec_at t ~block ~pc ~taken =
+  Whisper_bpu.Predictor.exec_hybrid t.base
+    ~decision:(decide t ~block ~pc ~taken)
+    ~pc ~taken
 
 let exec t (e : Branch.event) =
   exec_at t ~block:e.Branch.block ~pc:e.pc ~taken:e.taken
@@ -312,7 +308,6 @@ let exec_arena t ~arena i =
   exec_at t ~block:(Arena.block arena i) ~pc:(Arena.pc arena i)
     ~taken:(Arena.taken arena i)
 
-let predictor_name t = "whisper+" ^ t.base.name
 let hinted_predictions t = t.n_hinted
 let hinted_mispredictions t = t.n_hinted_wrong
 let baseline_predictions t = t.n_base

@@ -40,12 +40,17 @@ val exec_at : t -> block:int -> pc:int -> taken:bool -> bool
 (** [exec] on unboxed event fields — never materializes a
     [Branch.event] record, and allocates nothing. *)
 
+val decide : t -> block:int -> pc:int -> taken:bool -> int
+(** The hint half of {!exec_at}: executes the block's brhints and
+    returns the hinted direction (0 or 1), or [-1] when the baseline
+    predicts the branch ({!Whisper_bpu.Predictor.exec_hybrid}).
+    Advances the folded-history mirror and the counters; never touches
+    the baseline. *)
+
 val exec_arena : t -> arena:Whisper_trace.Arena.t -> int -> bool
 (** [exec_arena t ~arena i] is {!exec_at} on the arena's [i]th event —
     the batched replay path wired through [Machine.run_arena], reading
     event fields straight out of the arena's packed columns. *)
-
-val predictor_name : t -> string
 
 val hinted_predictions : t -> int
 (** Predictions served by hints (hint-buffer hits with a non-Dynamic
@@ -76,7 +81,6 @@ module Reference : sig
 
   val exec : t -> Whisper_trace.Branch.event -> bool
   val exec_at : t -> block:int -> pc:int -> taken:bool -> bool
-  val predictor_name : t -> string
   val hinted_predictions : t -> int
   val hinted_mispredictions : t -> int
   val baseline_predictions : t -> int

@@ -112,29 +112,23 @@ module Runtime = struct
         Hashtbl.add rt.truths id b;
         b
 
-  let exec_at rt ~pc ~taken =
-    let hinted =
+  let decide rt ~pc ~taken =
+    let d =
       match Hashtbl.find_opt rt.spec.hints pc with
-      | Some Always -> Some true
-      | Some Never -> Some false
+      | Some Always -> 1
+      | Some Never -> 0
       | Some (Tree tree) ->
           let bits = rt.ghist land ((1 lsl rt.spec.n) - 1) in
-          Some (Whisper_formula.Tree.eval_tt (truth rt tree) bits)
-      | None -> None
+          Bool.to_int (Whisper_formula.Tree.eval_tt (truth rt tree) bits)
+      | None -> -1
     in
-    let correct =
-      match hinted with
-      | Some pred ->
-          rt.n_hinted <- rt.n_hinted + 1;
-          rt.base.spectate ~pc ~taken;
-          pred = taken
-      | None ->
-          let pred = rt.base.predict ~pc in
-          rt.base.train ~pc ~taken;
-          rt.base.is_oracle || pred = taken
-    in
-    rt.ghist <- (rt.ghist lsl 1) lor (if taken then 1 else 0);
-    correct
+    if d >= 0 then rt.n_hinted <- rt.n_hinted + 1;
+    rt.ghist <- (rt.ghist lsl 1) lor Bool.to_int taken;
+    d
+
+  let exec_at rt ~pc ~taken =
+    Whisper_bpu.Predictor.exec_hybrid rt.base
+      ~decision:(decide rt ~pc ~taken) ~pc ~taken
 
   let exec rt (e : Branch.event) = exec_at rt ~pc:e.pc ~taken:e.taken
 

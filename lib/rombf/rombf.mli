@@ -39,8 +39,14 @@ module Runtime : sig
   (** Returns whether the prediction was correct. *)
 
   val exec_at : rt -> pc:int -> taken:bool -> bool
-  (** [exec] on unboxed event fields — the arena replay path, which
-      never materializes a [Branch.event] record. *)
+  (** [exec] on unboxed event fields, which never materializes a
+      [Branch.event] record. *)
+
+  val decide : rt -> pc:int -> taken:bool -> int
+  (** The hint's half of {!exec_at}: the hinted direction (0 or 1), or
+      [-1] when the branch has no hint and the baseline predicts it
+      ({!Whisper_bpu.Predictor.exec_hybrid}).  Advances the raw history
+      and the hint counter; never touches the baseline. *)
 
   val hinted_predictions : rt -> int
 end

@@ -382,15 +382,17 @@ let make_exec ctx app technique ~train_inputs ~kb =
       let rt = whisper_runtime ctx app ~train_inputs ~kb config in
       fun e -> Whisper_core.Runtime.exec rt e
 
-(* Same runtimes fed by event index over a packed arena: the predict
-   closures read unboxed fields straight out of the arena's buffers, so
-   the whole replay path allocates nothing per event.  The heavyweight
-   online baselines return staged compiled kernels
-   ({!Whisper_bpu.Predictor.Compiled}) and the ideal oracle returns
-   [Machine.Oracle], so the machine dispatches once per run instead of
-   calling through a closure record per event; the trained runtimes
-   (ROMBF / BranchNet / Whisper) keep their indexed exec closures. *)
+(* Same runtimes over a packed arena, each as one staged fill the
+   machine dispatches to once per run.  The online baselines run their
+   compiled kernels ({!Whisper_bpu.Predictor.Compiled}) and the ideal
+   oracle is [Machine.Oracle].  A trained runtime runs its decision
+   function over the arena first, then the TAGE-SC-L kernel fills the
+   events it left uncovered ({!Tage_scl.hybrid}). *)
 let make_exec_arena ctx app technique ~train_inputs ~kb ~arena:a =
+  let hybrid decide =
+    Whisper_pipeline.Machine.Compiled
+      (Tage_scl.hybrid (Sizes.for_budget ~kb) ~decide)
+  in
   match technique with
   | Baseline ->
       Whisper_pipeline.Machine.Compiled
@@ -401,20 +403,19 @@ let make_exec_arena ctx app technique ~train_inputs ~kb ~arena:a =
         (Mtage.compiled ()).Predictor.Compiled.fill
   | Rombf n ->
       let rt = rombf_runtime ctx app ~train_inputs ~kb n in
-      Whisper_pipeline.Machine.Indexed
-        (fun i ->
-          Whisper_rombf.Rombf.Runtime.exec_at rt ~pc:(Arena.pc a i)
+      hybrid (fun i ->
+          Whisper_rombf.Rombf.Runtime.decide rt ~pc:(Arena.pc a i)
             ~taken:(Arena.taken a i))
   | Branchnet budget ->
       let rt = branchnet_runtime ctx app ~train_inputs ~kb budget in
-      Whisper_pipeline.Machine.Indexed
-        (fun i ->
-          Whisper_branchnet.Branchnet.Runtime.exec_at rt ~pc:(Arena.pc a i)
+      hybrid (fun i ->
+          Whisper_branchnet.Branchnet.Runtime.decide rt ~pc:(Arena.pc a i)
             ~taken:(Arena.taken a i))
   | Whisper config ->
       let rt = whisper_runtime ctx app ~train_inputs ~kb config in
-      Whisper_pipeline.Machine.Indexed
-        (Whisper_core.Runtime.exec_arena rt ~arena:a)
+      hybrid (fun i ->
+          Whisper_core.Runtime.decide rt ~block:(Arena.block a i)
+            ~pc:(Arena.pc a i) ~taken:(Arena.taken a i))
 
 let run_key ctx app technique ~train_inputs ~test_input ~kb =
   Printf.sprintf "%s/%s/%s/%d/%d/%d" app.Workloads.name

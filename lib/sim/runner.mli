@@ -138,9 +138,10 @@ val make_exec_arena :
 (** The same runtime as an arena execution strategy for
     {!Whisper_pipeline.Machine.run_arena_exec}: [Oracle] for the ideal
     predictor, staged {!Whisper_bpu.Predictor.Compiled} kernels for the
-    online baselines (TAGE-SC-L / MTAGE-SC), and indexed closures
-    reading unboxed fields straight from the packed buffers for the
-    trained runtimes.  Byte-identical results to {!make_exec} under
+    online baselines (TAGE-SC-L / MTAGE-SC), and for the trained
+    runtimes a {!Whisper_bpu.Tage_scl.hybrid} fill: the runtime's
+    decision function marks the events it covers, and the TAGE-SC-L
+    kernel fills the rest.  Byte-identical results to {!make_exec} under
     {!Whisper_pipeline.Machine.run} by the differential-oracle tests. *)
 
 val profile_arena :

@@ -194,7 +194,10 @@ let reservoir_sample t rng ~pc ~max_samples ~raw8 ~raw56 ~hashes ~taken ~correct
    arena path walks the packed buffers by index.  Keeping one core means
    the two paths produce byte-identical profiles by construction. *)
 let collect_core ?(max_candidates = 2048) ?(min_mispred = 8)
-    ?(max_samples = 512) ?(chunk = 8) ~lengths ~iter ~make_predictor () =
+    ?(max_samples = 512) ?(chunk = 8) ~lengths ~events ~iter ~make_predictor
+    () =
+  if chunk <= 0 || chunk > 62 || Array.exists (fun l -> l <= 0) lengths then
+    invalid_arg "Profile.collect: bad chunk or length series";
   let t = create_empty ~chunk ~lengths () in
   (* Pass 1: aggregate statistics against a fresh baseline predictor. *)
   let predict = make_predictor () in
@@ -215,26 +218,46 @@ let collect_core ?(max_candidates = 2048) ?(min_mispred = 8)
     ranked;
   (* Pass 2: replay the same trace, recording samples for candidates.  The
      profiler reconstructs hashed histories from the event stream alone —
-     it never peeks at the workload model's internals. *)
+     it never peeks at the workload model's internals.  The stream's
+     outcomes go into a taken bitmap as they arrive, so a length-L fold
+     reads its outgoing bit at event [i] as bit [i - L]; the raw windows
+     are a 56-bit shift register. *)
   let predict = make_predictor () in
-  let max_len = Array.fold_left max 1 lengths in
-  let hist = History.create ~depth:(max 64 (2 * max_len)) in
-  let folded = Array.map (fun len -> History.Folded.create ~len ~chunk) lengths in
   let nl = Array.length lengths in
-  let hashes = Array.make nl 0 in
+  let folds = Array.make nl 0 in
+  let fold_mask = Bitops.mask chunk in
+  let out_pos = Array.map (fun len -> len mod chunk) lengths in
+  let bits = Bytes.make ((max 0 events + 7) / 8) '\000' in
+  let raw = ref 0 and i = ref 0 in
   let rng = Rng.create 0x5EED5 in
   iter (fun ~pc ~taken ~instrs:_ ->
       let correct = predict ~pc ~taken in
-      if Hashtbl.mem candidate_set pc then begin
-        let raw8 = History.raw_window hist 8 in
-        let raw56 = History.raw_window hist 56 in
-        for i = 0 to nl - 1 do
-          hashes.(i) <- History.Folded.value folded.(i)
-        done;
-        reservoir_sample t rng ~pc ~max_samples ~raw8 ~raw56 ~hashes ~taken
-          ~correct
-      end;
-      History.push_all hist folded taken);
+      if Hashtbl.mem candidate_set pc then
+        reservoir_sample t rng ~pc ~max_samples ~raw8:(!raw land 0xFF)
+          ~raw56:!raw ~hashes:folds ~taken ~correct;
+      let b = Bool.to_int taken and j = !i in
+      for k = 0 to nl - 1 do
+        let len = Array.unsafe_get lengths k in
+        let out =
+          if j < len then 0
+          else
+            (Char.code (Bytes.unsafe_get bits ((j - len) lsr 3))
+            lsr ((j - len) land 7))
+            land 1
+        in
+        let v = Array.unsafe_get folds k in
+        Array.unsafe_set folds k
+          (((v lsl 1) lor (v lsr (chunk - 1))) land fold_mask
+          lxor b
+          lxor (out lsl Array.unsafe_get out_pos k))
+      done;
+      if taken then
+        Bytes.unsafe_set bits (j lsr 3)
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get bits (j lsr 3))
+             lor (1 lsl (j land 7))));
+      raw := ((!raw lsl 1) lor b) land 0xFF_FFFF_FFFF_FFFF;
+      i := j + 1);
   t
 
 let collect ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths ~events
@@ -246,8 +269,8 @@ let collect ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths ~events
       f ~pc:e.Branch.pc ~taken:e.Branch.taken ~instrs:e.Branch.instrs
     done
   in
-  collect_core ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths ~iter
-    ~make_predictor ()
+  collect_core ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths
+    ~events ~iter ~make_predictor ()
 
 let collect_arena ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths
     ~events ~arena ~make_predictor () =
@@ -259,8 +282,8 @@ let collect_arena ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths
         ~instrs:(Arena.instrs arena i)
     done
   in
-  collect_core ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths ~iter
-    ~make_predictor ()
+  collect_core ?max_candidates ?min_mispred ?max_samples ?chunk ~lengths
+    ~events ~iter ~make_predictor ()
 
 let merge profiles =
   match profiles with

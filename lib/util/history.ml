@@ -2,22 +2,18 @@ type t = {
   buf : Bytes.t;
   cap : int;
   mutable head : int; (* index of the most recent outcome *)
-  mutable pushed : int;
 }
 
 let create ~depth =
   if depth <= 0 then invalid_arg "History.create";
-  { buf = Bytes.make depth '\000'; cap = depth; head = 0; pushed = 0 }
-
-let depth t = t.cap
+  { buf = Bytes.make depth '\000'; cap = depth; head = 0 }
 
 let push t taken =
   (* head is always in [0, cap): the compare-based wraparound is exactly
      [(head + 1) mod cap] without the hot-loop integer division *)
   let h = t.head + 1 in
   t.head <- (if h >= t.cap then 0 else h);
-  Bytes.unsafe_set t.buf t.head (if taken then '\001' else '\000');
-  t.pushed <- t.pushed + 1
+  Bytes.unsafe_set t.buf t.head (if taken then '\001' else '\000')
 
 let get t i =
   if i < 0 then invalid_arg "History.get";
@@ -26,8 +22,6 @@ let get t i =
     let idx = t.head - i in
     let idx = if idx < 0 then idx + t.cap else idx in
     Char.code (Bytes.unsafe_get t.buf idx)
-
-let length_pushed t = t.pushed
 
 let raw_window t n =
   if n < 0 || n > 62 then invalid_arg "History.raw_window";

@@ -11,8 +11,6 @@ val create : depth:int -> t
 (** [create ~depth] holds the last [depth] outcomes, all initially 0
     (not taken).  @raise Invalid_argument if [depth <= 0]. *)
 
-val depth : t -> int
-
 val push : t -> bool -> unit
 (** [push t taken] records the outcome of the most recent branch. *)
 
@@ -20,9 +18,6 @@ val get : t -> int -> int
 (** [get t i] is the outcome of the branch [i+1] branches ago (so [get t 0]
     is the most recent outcome), as 0 or 1.  Outcomes older than [depth]
     read as 0.  @raise Invalid_argument if [i < 0]. *)
-
-val length_pushed : t -> int
-(** Total number of outcomes pushed since creation. *)
 
 val raw_window : t -> int -> int
 (** [raw_window t n] packs the last [n <= 62] outcomes into an int, with

@@ -1,6 +1,5 @@
-(* Tests for whisper_bpu: counters, bimodal, gshare, TAGE, the loop
-   predictor, statistical corrector, TAGE-SC-L composition, MTAGE and the
-   perceptron baseline. *)
+(* Tests for whisper_bpu: counters, bimodal, TAGE, the loop predictor,
+   statistical corrector, TAGE-SC-L composition and MTAGE. *)
 
 open Whisper_bpu
 
@@ -60,23 +59,6 @@ let test_bimodal_per_pc () =
 let test_bimodal_storage () =
   let p = Bimodal.make ~log_entries:10 in
   check_int "2 bits per entry" 2048 p.Predictor.storage_bits
-
-(* ------------------------------------------------------------------ *)
-(* Gshare                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_gshare_learns_alternating () =
-  (* alternating outcome at one PC: bimodal oscillates, gshare nails it *)
-  let g = Gshare.make ~log_entries:12 ~hist_bits:8 in
-  let acc = accuracy g (fun i -> (0x1000, i mod 2 = 0)) 2000 in
-  check_bool "gshare learns alternation" true (acc > 0.95);
-  let b = Bimodal.make ~log_entries:12 in
-  let acc_b = accuracy b (fun i -> (0x1000, i mod 2 = 0)) 2000 in
-  check_bool "bimodal cannot" true (acc_b < 0.7)
-
-let test_gshare_invalid () =
-  Alcotest.check_raises "bad hist" (Invalid_argument "Gshare.make") (fun () ->
-      ignore (Gshare.make ~log_entries:10 ~hist_bits:0))
 
 (* ------------------------------------------------------------------ *)
 (* Tage                                                               *)
@@ -314,85 +296,6 @@ let test_always_taken_predictor () =
   check_bool "not oracle" false p.Predictor.is_oracle
 
 (* ------------------------------------------------------------------ *)
-(* Two-level / tournament                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_pag_learns_local_pattern () =
-  (* per-branch period-3 pattern: local history disambiguates it even when
-     another branch interleaves *)
-  let p = Twolevel.pag () in
-  let pat = [| true; true; false |] in
-  let gen i =
-    if i mod 2 = 0 then (0x4000, pat.(i / 2 mod 3)) else (0x8004, i mod 4 = 0)
-  in
-  let correct = ref 0 and total = ref 0 in
-  for i = 0 to 5999 do
-    let pc, taken = gen i in
-    let pred = p.Predictor.predict ~pc in
-    if i > 3000 && pc = 0x4000 then begin
-      incr total;
-      if pred = taken then incr correct
-    end;
-    p.train ~pc ~taken
-  done;
-  check_bool "local pattern learned" true
-    (float_of_int !correct /. float_of_int !total > 0.95)
-
-let test_gag_is_global () =
-  let p = Twolevel.gag () in
-  let acc = accuracy p (fun i -> (0x4000, i mod 2 = 0)) 2000 in
-  check_bool "alternation learned" true (acc > 0.95)
-
-let test_twolevel_contract () =
-  let p = Twolevel.pag () in
-  ignore (p.Predictor.predict ~pc:0x4000);
-  Alcotest.check_raises "mismatch" (Invalid_argument "Twolevel.train: mismatch")
-    (fun () -> p.Predictor.train ~pc:0x9999 ~taken:true)
-
-let test_tournament_picks_better_component () =
-  (* component A = bimodal (bad on alternation), B = gshare (good): the
-     tournament must converge to B's accuracy *)
-  let a = Bimodal.make ~log_entries:12 in
-  let b = Gshare.make ~log_entries:12 ~hist_bits:8 in
-  let p = Tournament.make ~a ~b () in
-  let acc = accuracy p (fun i -> (0x4000, i mod 2 = 0)) 4000 in
-  check_bool "tournament tracks the better component" true (acc > 0.9)
-
-let test_tournament_storage_sums () =
-  let a = Bimodal.make ~log_entries:10 in
-  let b = Gshare.make ~log_entries:10 ~hist_bits:8 in
-  let p = Tournament.make ~log_chooser:10 ~a ~b () in
-  check_int "storage adds up"
-    (a.Predictor.storage_bits + b.Predictor.storage_bits + 2048)
-    p.Predictor.storage_bits
-
-(* ------------------------------------------------------------------ *)
-(* Perceptron                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_perceptron_learns_linear () =
-  (* outcome = outcome-3-ago: linearly separable over history bits *)
-  let p = Perceptron.make () in
-  let hist = Array.make 8 false in
-  let rng = Whisper_util.Rng.create 11 in
-  let idx = ref 0 in
-  let gen _ =
-    let v = hist.((!idx - 3 + 8) mod 8) in
-    let v = if !idx < 3 then Whisper_util.Rng.bool rng else v in
-    hist.(!idx mod 8) <- v;
-    incr idx;
-    (0x4000, v)
-  in
-  let acc = accuracy p gen 4000 in
-  check_bool "learns linear correlation" true (acc > 0.9)
-
-let test_perceptron_contract () =
-  let p = Perceptron.make () in
-  ignore (p.Predictor.predict ~pc:0x4000);
-  Alcotest.check_raises "mismatch" (Invalid_argument "Perceptron.train: mismatch")
-    (fun () -> p.Predictor.train ~pc:0x9999 ~taken:true)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "whisper_bpu"
@@ -405,12 +308,6 @@ let () =
             test_case "tracks bias" `Quick test_bimodal_tracks_bias;
             test_case "per pc" `Quick test_bimodal_per_pc;
             test_case "storage" `Quick test_bimodal_storage;
-          ] );
-      ( "gshare",
-        Alcotest.
-          [
-            test_case "learns alternating" `Quick test_gshare_learns_alternating;
-            test_case "invalid" `Quick test_gshare_invalid;
           ] );
       ( "tage",
         Alcotest.
@@ -452,21 +349,5 @@ let () =
             test_case "mtage memorizes" `Quick test_mtage_memorizes;
             test_case "ideal" `Quick test_ideal;
             test_case "always taken" `Quick test_always_taken_predictor;
-          ] );
-      ( "twolevel_tournament",
-        Alcotest.
-          [
-            test_case "pag local pattern" `Quick test_pag_learns_local_pattern;
-            test_case "gag global" `Quick test_gag_is_global;
-            test_case "contract" `Quick test_twolevel_contract;
-            test_case "tournament chooser" `Quick
-              test_tournament_picks_better_component;
-            test_case "tournament storage" `Quick test_tournament_storage_sums;
-          ] );
-      ( "perceptron",
-        Alcotest.
-          [
-            test_case "learns linear" `Quick test_perceptron_learns_linear;
-            test_case "contract" `Quick test_perceptron_contract;
           ] );
     ]

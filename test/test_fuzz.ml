@@ -419,71 +419,78 @@ let test_arena_replay_equals_closure_random_configs () =
 (* Compiled-runtime equivalence on adversarial plans                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A random app and a hand-built plan for it — not just the well-formed
+   plans Inject.plan emits: hints keyed by PCs no branch ever has,
+   several hints per host block, every bias, formula ids across the
+   whole id space, tiny hint buffers that force constant eviction, and
+   non-default hash widths / length series. *)
+let random_plan rng ~name =
+  let open Whisper_core in
+  let wl =
+    {
+      (Option.get (Workloads.by_name "cassandra")) with
+      Workloads.name;
+      functions = 2 + Rng.int rng 6;
+      seed = Rng.int rng 10_000;
+    }
+  in
+  let cfg = Workloads.build_cfg wl in
+  let config =
+    {
+      Config.default with
+      hash_bits = (if Rng.bool rng then 8 else 4);
+      n_lengths = (if Rng.bool rng then 16 else 4);
+      hint_buffer_size = [| 1; 2; 4; 32 |].(Rng.int rng 4);
+    }
+  in
+  let n_blocks = Array.length cfg.Cfg.blocks in
+  let id_space =
+    Whisper_formula.Tree.space_size ~leaves:config.Config.hash_bits
+  in
+  let placements =
+    List.init
+      (1 + Rng.int rng 24)
+      (fun _ ->
+        let branch_block = Rng.int rng n_blocks in
+        let branch_pc =
+          (* mostly PCs branches actually have (so probes hit), some
+             junk keys no event ever probes *)
+          if Rng.int rng 4 = 0 then 0x9000_0000 + Rng.int rng 4096
+          else cfg.Cfg.blocks.(branch_block).Cfg.branch_pc
+        in
+        {
+          Inject.branch_block;
+          host_block = Rng.int rng n_blocks;
+          hint =
+            Brhint.make
+              ~len_idx:(Rng.int rng config.Config.n_lengths)
+              ~formula_id:(Rng.int rng id_space)
+              ~bias:(Brhint.bias_of_code (Rng.int rng 4))
+              ~pc_offset:(Rng.int rng 4096);
+          branch_pc;
+          cond_prob = 1.0;
+        })
+  in
+  let by_host = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Inject.placement) ->
+      let existing =
+        Option.value ~default:[] (Hashtbl.find_opt by_host p.Inject.host_block)
+      in
+      Hashtbl.replace by_host p.Inject.host_block (p :: existing))
+    placements;
+  (wl, cfg, config, { Inject.placements; by_host; dropped = 0 })
+
 (* The compiled Whisper runtime must agree with the interpretive oracle
-   on arbitrary hand-built plans — not just the well-formed ones
-   Inject.plan emits: hints keyed by PCs no branch ever has, several
-   hints per host block, every bias, formula ids across the whole id
-   space, tiny hint buffers that force constant eviction, and non-default
-   hash widths / length series. *)
+   on arbitrary hand-built plans. *)
 let test_compiled_runtime_equals_oracle_random_plans () =
   let open Whisper_core in
   let rng = Rng.create (seed lxor 0xC0417) in
   let plan_cases = max 10 (cases / 100) in
   for case = 1 to plan_cases do
-    let wl =
-      {
-        (Option.get (Workloads.by_name "cassandra")) with
-        Workloads.name = Printf.sprintf "fuzz-rtplan-%d" case;
-        functions = 2 + Rng.int rng 6;
-        seed = Rng.int rng 10_000;
-      }
+    let wl, cfg, config, plan =
+      random_plan rng ~name:(Printf.sprintf "fuzz-rtplan-%d" case)
     in
-    let cfg = Workloads.build_cfg wl in
-    let config =
-      {
-        Config.default with
-        hash_bits = (if Rng.bool rng then 8 else 4);
-        n_lengths = (if Rng.bool rng then 16 else 4);
-        hint_buffer_size = [| 1; 2; 4; 32 |].(Rng.int rng 4);
-      }
-    in
-    let n_blocks = Array.length cfg.Cfg.blocks in
-    let id_space =
-      Whisper_formula.Tree.space_size ~leaves:config.Config.hash_bits
-    in
-    let placements =
-      List.init
-        (1 + Rng.int rng 24)
-        (fun _ ->
-          let branch_block = Rng.int rng n_blocks in
-          let branch_pc =
-            (* mostly PCs branches actually have (so probes hit), some
-               junk keys no event ever probes *)
-            if Rng.int rng 4 = 0 then 0x9000_0000 + Rng.int rng 4096
-            else cfg.Cfg.blocks.(branch_block).Cfg.branch_pc
-          in
-          {
-            Inject.branch_block;
-            host_block = Rng.int rng n_blocks;
-            hint =
-              Brhint.make
-                ~len_idx:(Rng.int rng config.Config.n_lengths)
-                ~formula_id:(Rng.int rng id_space)
-                ~bias:(Brhint.bias_of_code (Rng.int rng 4))
-                ~pc_offset:(Rng.int rng 4096);
-            branch_pc;
-            cond_prob = 1.0;
-          })
-    in
-    let by_host = Hashtbl.create 16 in
-    List.iter
-      (fun (p : Inject.placement) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt by_host p.Inject.host_block)
-        in
-        Hashtbl.replace by_host p.Inject.host_block (p :: existing))
-      placements;
-    let plan = { Inject.placements; by_host; dropped = 0 } in
     let events = 1 + Rng.int rng 4_000 in
     let input = Rng.int rng 3 in
     let arena = Arena.build ~events (App_model.create ~cfg ~config:wl ~input ()) in
@@ -705,77 +712,136 @@ let test_flat_cache_equals_reference () =
 (* The staged [Machine.Compiled] / [Machine.Oracle] strategies must give
    byte-identical [Machine.result]s to the per-event closure path for
    arbitrary workload shapes, not just the catalog apps.  The oracle is
-   the untouched closure record ([Predictor.t]) driven through the
-   legacy Indexed strategy — the same differential pattern the catalog
-   test pins, here over randomized app configs and arena lengths. *)
+   the untouched closure record ([Predictor.t], or a trained runtime's
+   [exec_at] over one) driven through the Indexed strategy.
+
+   Each case is a random app replayed twice: once shorter than 1,024
+   events and once longer than 2,048.  TAGE-SC-L runs at every budget
+   Fig. 21 sweeps (8 KB to 1 MB) and at an 8 KB geometry whose
+   usefulness counters age every 2^10 trains, which the long replay
+   always reaches; the smallest tables put usefulness to work in
+   allocation most often.  The trained rows run their hybrid fills
+   (decision function, then the masked TAGE-SC-L kernel) against their
+   closure [exec_at]: 8b-ROMBF and an 8 KB BranchNet over random hint
+   and model sets, and Whisper over a random plan. *)
 let test_compiled_kernels_equal_closure_oracle () =
   let open Whisper_bpu in
   let module Machine = Whisper_pipeline.Machine in
   let rng = Rng.create (seed lxor 0xFA57) in
   let config_cases = max 5 (cases / 200) in
-  (* shrunken geometries: same code paths (allocation, aging, folding,
-     SC/loop overrides), fuzz-friendly runtimes *)
-  let small_tage =
-    {
-      Tage.default_params with
-      n_tables = 5;
-      log_entries = 7;
-      log_bimodal = 9;
-      max_len = 128;
-      u_reset_period = 1 lsl 10;
-    }
+  let aging =
+    let s = Sizes.for_budget ~kb:8 in
+    { s with Sizes.tage = { s.Sizes.tage with Tage.u_reset_period = 1 lsl 10 } }
   in
-  let scl_sizes = Sizes.for_budget ~kb:64 in
+  let sizes =
+    Array.of_list
+      (("8KB-aging", aging)
+      :: List.map
+           (fun kb -> (Printf.sprintf "%dKB" kb, Sizes.for_budget ~kb))
+           [ 8; 16; 32; 64; 128; 256; 512; 1024 ])
+  in
   for case = 1 to config_cases do
-    let config =
+    let wl, cfg, wconfig, plan =
+      random_plan rng ~name:(Printf.sprintf "fuzz-compiled-%d" case)
+    in
+    let real_pc () =
+      cfg.Cfg.blocks.(Rng.int rng (Array.length cfg.Cfg.blocks)).Cfg.branch_pc
+    in
+    let rombf =
+      let hints = Hashtbl.create 16 in
+      for _ = 1 to 1 + Rng.int rng 24 do
+        Hashtbl.replace hints (real_pc ())
+          (match Rng.int rng 4 with
+          | 0 -> Whisper_rombf.Rombf.Always
+          | 1 -> Whisper_rombf.Rombf.Never
+          | _ ->
+              Whisper_rombf.Rombf.Tree
+                (Whisper_formula.Tree.of_classic_id ~leaves:8
+                   (Rng.int rng
+                      (Whisper_formula.Tree.classic_space_size ~leaves:8))))
+      done;
+      { Whisper_rombf.Rombf.n = 8; hints; training_seconds = 0.0 }
+    in
+    let branchnet =
+      let models = Hashtbl.create 16 in
+      for _ = 1 to 1 + Rng.int rng (8192 / 465) do
+        Hashtbl.replace models (real_pc ())
+          (Whisper_branchnet.Model.create ~n_lengths:7
+             ~seed:(Rng.int rng 10_000) ())
+      done;
       {
-        (Option.get (Workloads.by_name "cassandra")) with
-        Workloads.name = Printf.sprintf "fuzz-compiled-%d" case;
-        functions = 2 + Rng.int rng 8;
-        seed = Rng.int rng 10_000;
+        Whisper_branchnet.Branchnet.models;
+        budget = Budget 8192;
+        training_seconds = 0.0;
       }
     in
-    let cfg = Workloads.build_cfg config in
     let input = Rng.int rng 3 in
-    let events = 500 + Rng.int rng 2_500 in
-    let arena = Arena.build ~events (App_model.create ~cfg ~config ~input ()) in
-    let indexed (p : Predictor.t) i =
-      let pc = Arena.pc arena i and taken = Arena.taken arena i in
-      let pred = p.Predictor.predict ~pc in
-      p.Predictor.train ~pc ~taken;
-      pred = taken
-    in
-    let diff name rc ro =
-      if rc <> ro then
-        Alcotest.failf "case %d: %s compiled result diverges (seed %d)" case
-          name seed
-    in
     List.iter
-      (fun (name, compiled, oracle) ->
-        let rc =
-          Machine.run_arena_exec ~events ~arena
-            ~exec:(Machine.Compiled compiled.Predictor.Compiled.fill)
-            ()
+      (fun events ->
+        let arena =
+          Arena.build ~events (App_model.create ~cfg ~config:wl ~input ())
         in
-        let ro =
-          Machine.run_arena_exec ~events ~arena
-            ~exec:(Machine.Indexed (indexed oracle))
-            ()
+        let run exec = Machine.run_arena_exec ~events ~arena ~exec () in
+        let diff name rc ro =
+          if rc <> ro then
+            Alcotest.failf
+              "case %d, %d events: %s compiled result diverges (seed %d)" case
+              events name seed
         in
-        diff name rc ro)
-      [
-        ("tage", Tage.compiled small_tage, Tage.predictor small_tage);
-        ("tage-scl", Tage_scl.compiled scl_sizes, Tage_scl.predictor scl_sizes);
-        ( "mtage-sc",
-          Mtage.compiled ~n_lengths:4 ~max_len:64 (),
-          Mtage.predictor ~n_lengths:4 ~max_len:64 () );
-      ];
-    (* the ideal technique: Oracle strategy == an always-correct closure *)
-    diff "ideal"
-      (Machine.run_arena_exec ~events ~arena ~exec:Machine.Oracle ())
-      (Machine.run_arena_exec ~events ~arena
-         ~exec:(Machine.Indexed (fun _ -> true))
-         ())
+        let indexed (p : Predictor.t) i =
+          let pc = Arena.pc arena i and taken = Arena.taken arena i in
+          let pred = p.Predictor.predict ~pc in
+          p.Predictor.train ~pc ~taken;
+          pred = taken
+        in
+        let compiled (c : Predictor.Compiled.t) = run (Machine.Compiled c.fill) in
+        Array.iter
+          (fun (label, s) ->
+            diff ("tage-scl-" ^ label)
+              (compiled (Tage_scl.compiled s))
+              (run (Machine.Indexed (indexed (Tage_scl.predictor s)))))
+          sizes;
+        diff "mtage-sc"
+          (compiled (Mtage.compiled ~n_lengths:4 ~max_len:64 ()))
+          (run
+             (Machine.Indexed
+                (indexed (Mtage.predictor ~n_lengths:4 ~max_len:64 ()))));
+        (* the ideal technique: Oracle strategy == an always-correct closure *)
+        diff "ideal" (run Machine.Oracle)
+          (run (Machine.Indexed (fun _ -> true)));
+        (* trained rows: [decide] + the masked kernel vs [exec_at] *)
+        let label, s = sizes.(Rng.int rng (Array.length sizes)) in
+        let hybrid name ~create ~decide ~exec ~count =
+          let rc = create () and ro = create () in
+          diff (name ^ "-" ^ label)
+            (run (Machine.Compiled (Tage_scl.hybrid s ~decide:(decide rc))))
+            (run (Machine.Indexed (exec ro)));
+          check_int (name ^ " coverage") (count ro) (count rc)
+        in
+        let pc i = Arena.pc arena i and taken i = Arena.taken arena i in
+        let module R = Whisper_rombf.Rombf.Runtime in
+        hybrid "8b-rombf"
+          ~create:(fun () -> R.create rombf ~baseline:(Tage_scl.predictor s))
+          ~decide:(fun rt i -> R.decide rt ~pc:(pc i) ~taken:(taken i))
+          ~exec:(fun rt i -> R.exec_at rt ~pc:(pc i) ~taken:(taken i))
+          ~count:R.hinted_predictions;
+        let module B = Whisper_branchnet.Branchnet.Runtime in
+        hybrid "8KB-branchnet"
+          ~create:(fun () ->
+            B.create branchnet ~baseline:(Tage_scl.predictor s))
+          ~decide:(fun rt i -> B.decide rt ~pc:(pc i) ~taken:(taken i))
+          ~exec:(fun rt i -> B.exec_at rt ~pc:(pc i) ~taken:(taken i))
+          ~count:B.covered_predictions;
+        let module W = Whisper_core.Runtime in
+        hybrid "whisper"
+          ~create:(fun () ->
+            W.create wconfig ~baseline:(Tage_scl.predictor s) ~plan)
+          ~decide:(fun rt i ->
+            W.decide rt ~block:(Arena.block arena i) ~pc:(pc i)
+              ~taken:(taken i))
+          ~exec:(fun rt i -> W.exec_arena rt ~arena i)
+          ~count:W.hinted_predictions)
+      [ 1 + Rng.int rng 1_023; 2_049 + Rng.int rng 2_000 ]
   done
 
 (* ------------------------------------------------------------------ *)
