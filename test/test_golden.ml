@@ -60,30 +60,55 @@ let test_result_entries () =
       ("whisper", "aa77d91fd5f13efbf0759b30276ce267");
     ]
 
-(* BranchNet deploys no model on mysql at 20 k events, so its rows are
-   pinned on python at 60 k events, where the 8 KB walk fills its budget
-   (17 of 20 accepted models) and the 32 KB and unlimited walks do not. *)
+(* The trained rows' training is pinned on python at 60 k events: on
+   mysql at 20 k events BranchNet deploys no model and 8b-ROMBF no hint
+   (its profile has 5 candidates), so the mysql 8b-rombf pin above is
+   the TAGE-SC-L baseline under another key.  Here the 8 KB BranchNet
+   walk fills its budget (17 of 20 accepted models) while the 32 KB and
+   unlimited walks do not, and 4b- and 8b-ROMBF deploy hints.  Each
+   case also asserts that its row deploys at least one model or hint,
+   so a pin cannot silently degrade into a baseline pin. *)
+let trained_events = 60_000
+
+let trained_entry ctx a tech ~deployed expected =
+  let name = Runner.technique_name tech in
+  let key =
+    Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
+      ~kb:(Runner.baseline_kb ctx)
+  in
+  if deployed <= 0 then Alcotest.failf "%s deploys nothing" name;
+  let r = Runner.run ctx a tech in
+  check ("result " ^ name) expected (md5b (Result_cache.encode ~key r))
+
 let test_branchnet_entries () =
-  let ctx = Runner.create_ctx ~events:60_000 () in
+  let ctx = Runner.create_ctx ~events:trained_events () in
   let a = app "python" in
+  let profile = Runner.profile ctx a in
   List.iter
     (fun (budget, expected) ->
-      let tech = Runner.Branchnet budget in
-      let key =
-        Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
-          ~kb:(Runner.baseline_kb ctx)
-      in
-      let r = Runner.run ctx a tech in
-      check
-        ("result " ^ Runner.technique_name tech)
-        expected
-        (md5b (Result_cache.encode ~key r)))
+      trained_entry ctx a (Runner.Branchnet budget)
+        ~deployed:
+          (Whisper_branchnet.Branchnet.model_count
+             (Whisper_branchnet.Branchnet.train ~budget profile))
+        expected)
     Whisper_branchnet.Branchnet.
       [
         (Budget 8192, "56f5973b2d3b1760111f4950da75a38d");
         (Budget 32768, "ac1119db1a3139522efc36e34e2eced4");
         (Unlimited, "c39fc7efc47af6940e875f07c3eb4df2");
       ]
+
+let test_rombf_entries () =
+  let ctx = Runner.create_ctx ~events:trained_events () in
+  let a = app "python" in
+  let profile = Runner.profile ctx a in
+  List.iter
+    (fun (n, expected) ->
+      trained_entry ctx a (Runner.Rombf n)
+        ~deployed:
+          (Whisper_rombf.Rombf.hint_count (Whisper_rombf.Rombf.train ~n profile))
+        expected)
+    [ (4, "d1a02a1e45fa87fda823553222ed3a8a"); (8, "e74295626a11da3781ba626db6943e21") ]
 
 let test_profiles () =
   let ctx = Runner.create_ctx ~events () in
@@ -171,6 +196,8 @@ let () =
           Alcotest.test_case "result-cache entries" `Quick test_result_entries;
           Alcotest.test_case "branchnet result-cache entries" `Quick
             test_branchnet_entries;
+          Alcotest.test_case "rombf result-cache entries" `Quick
+            test_rombf_entries;
           Alcotest.test_case "lbr profiles" `Quick test_profiles;
           Alcotest.test_case "arena-cache entry" `Quick test_arena_entry;
           Alcotest.test_case "manifest ids" `Quick test_manifest_ids;
