@@ -39,6 +39,9 @@ module Runtime : sig
   type rt
 
   val create : t -> baseline:Whisper_bpu.Predictor.t -> rt
+  (** @raise Invalid_argument ["Branchnet.Runtime.create"] if a model
+      does not take the 56 raw-history inputs the runtime feeds it. *)
+
   val exec : rt -> Whisper_trace.Branch.event -> bool
 
   val exec_at : rt -> pc:int -> taken:bool -> bool

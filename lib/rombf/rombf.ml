@@ -8,11 +8,13 @@ type t = {
   training_seconds : float;
 }
 
-(* Raw-history taken/not-taken tables from a sample half. *)
+(* Raw-history taken/not-taken tables from a sample half, with the keys
+   some sample hit, each listed once. *)
 let tables_at profile ~pc ~n ~part =
   let size = 1 lsl n in
   let taken = Array.make size 0 in
   let not_taken = Array.make size 0 in
+  let keys = ref [] in
   let mask = size - 1 in
   let i = ref 0 in
   Profile.iter_samples profile ~pc ~f:(fun ~raw8 ~raw56:_ ~hash:_ ~taken:tk ~correct:_ ->
@@ -20,18 +22,22 @@ let tables_at profile ~pc ~n ~part =
       incr i;
       if keep then begin
         let k = raw8 land mask in
+        if taken.(k) + not_taken.(k) = 0 then keys := k :: !keys;
         if tk then taken.(k) <- taken.(k) + 1
         else not_taken.(k) <- not_taken.(k) + 1
       end);
-  (taken, not_taken)
+  (taken, not_taken, Array.of_list !keys)
 
-let mispredicts_of ~taken ~not_taken truth =
+(* A formula's mispredictions over the sample half.  Keys no sample hit
+   count zero either way, so only the occupied keys are summed; the sum
+   is over integers, so it is the dense sum over all 2^n keys exactly. *)
+let mispredicts_of (taken, not_taken, keys) truth =
   let m = ref 0 in
-  Array.iteri
-    (fun k t ->
+  Array.iter
+    (fun k ->
       if Whisper_formula.Tree.eval_tt truth k then m := !m + not_taken.(k)
-      else m := !m + t)
-    taken;
+      else m := !m + taken.(k))
+    keys;
   !m
 
 let part_baseline profile ~pc ~part =
@@ -60,7 +66,7 @@ let train ?(n = 8) ?(min_gain = 2) profile =
   Array.iter
     (fun pc ->
       if Profile.n_samples profile ~pc >= 8 then begin
-        let taken, not_taken = tables_at profile ~pc ~n ~part:`Train in
+        let tables = tables_at profile ~pc ~n ~part:`Train in
         let _, train_taken, train_n = part_baseline profile ~pc ~part:`Train in
         let train_nt = train_n - train_taken in
         (* exhaustive search of the classic space + the two bias hints *)
@@ -68,18 +74,18 @@ let train ?(n = 8) ?(min_gain = 2) profile =
                         min train_taken train_nt) in
         Array.iter
           (fun (tree, truth) ->
-            let m = mispredicts_of ~taken ~not_taken truth in
+            let m = mispredicts_of tables truth in
             if m < snd !best then best := (Tree tree, m))
           formulas;
         (* held-out acceptance against the profiled baseline accuracy *)
         let eval_baseline, eval_taken, eval_n = part_baseline profile ~pc ~part:`Eval in
-        let e_taken, e_not_taken = tables_at profile ~pc ~n ~part:`Eval in
         let eval_m =
           match fst !best with
           | Always -> eval_n - eval_taken
           | Never -> eval_taken
           | Tree tree ->
-              mispredicts_of ~taken:e_taken ~not_taken:e_not_taken
+              mispredicts_of
+                (tables_at profile ~pc ~n ~part:`Eval)
                 (Whisper_formula.Tree.truth_table tree)
         in
         let required = max min_gain ((eval_baseline + 9) / 10) in

@@ -133,6 +133,43 @@ let test_model_storage () =
   (* 8*(56+1) + 8 + 1 = 465 bytes quantized *)
   check_int "bytes" 465 (Whisper_branchnet.Model.storage_bytes m)
 
+(* Malformed shapes are refused at the boundary with the function's
+   name, not as a bare index error from inside the unsafe loops. *)
+let test_model_rejects_short_features () =
+  let m = Whisper_branchnet.Model.create ~n_lengths:7 ~seed:2 () in
+  let short = Array.make 6 0xFF in
+  Alcotest.check_raises "forward" (Invalid_argument "Model.forward") (fun () ->
+      ignore (Whisper_branchnet.Model.forward m ~features:short));
+  Alcotest.check_raises "predict" (Invalid_argument "Model.forward")
+    (fun () -> ignore (Whisper_branchnet.Model.predict m ~features:short));
+  Alcotest.check_raises "train_sgd" (Invalid_argument "Model.train_sgd")
+    (fun () ->
+      Whisper_branchnet.Model.train_sgd m
+        ~xs:[| Array.make 7 0; short |]
+        ~ys:[| true; false |] ~epochs:1 ~lr:0.05);
+  (* rejected before any update: the weights are the untrained ones *)
+  check_bool "weights untouched" true
+    (Whisper_branchnet.Model.weights m
+    = Whisper_branchnet.Model.weights
+        (Whisper_branchnet.Model.create ~n_lengths:7 ~seed:2 ()))
+
+let test_branchnet_runtime_rejects_wide_model () =
+  let models = Hashtbl.create 1 in
+  Hashtbl.replace models 0x4000
+    (Whisper_branchnet.Model.create ~n_lengths:8 ~seed:1 ());
+  let spec =
+    {
+      Whisper_branchnet.Branchnet.models;
+      budget = Unlimited;
+      training_seconds = 0.0;
+    }
+  in
+  Alcotest.check_raises "64-input model"
+    (Invalid_argument "Branchnet.Runtime.create") (fun () ->
+      ignore
+        (Whisper_branchnet.Branchnet.Runtime.create spec
+           ~baseline:(Whisper_bpu.Predictor.always_taken ())))
+
 let test_branchnet_budget_bounds_coverage () =
   (* many predictable branches; small budgets must cover fewer *)
   let p = Profile.create_empty ~lengths:Workloads.lengths () in
@@ -213,6 +250,10 @@ let () =
             test_case "model linear" `Quick test_model_learns_linear;
             test_case "model nonlinear" `Quick test_model_learns_nonlinear;
             test_case "model storage" `Quick test_model_storage;
+            test_case "model rejects short features" `Quick
+              test_model_rejects_short_features;
+            test_case "runtime rejects wide model" `Quick
+              test_branchnet_runtime_rejects_wide_model;
             test_case "budget bounds coverage" `Quick
               test_branchnet_budget_bounds_coverage;
             test_case "runtime uses models" `Quick test_branchnet_runtime_uses_models;
