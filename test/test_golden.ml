@@ -7,6 +7,8 @@
    - Profile_io bytes of Runner.profile_arena at three baseline budgets;
    - Result_cache entries of Runner.run for every technique;
    - one Arena_cache entry;
+   - Arena digests of generated traces, and Profile_io bytes of two of
+     them at 8 and 64 KB;
    - the Sweep and Serve manifest ids;
    - an in-process jobs = 1 sweep: report text + CSV and journal.bin;
    - a clean serve scenario: ledger, journal.bin and every plan file.
@@ -131,6 +133,90 @@ let test_arena_entry () =
   check "arena entry" "5b13d235868641bbbc8070f176c6bcd8"
     (md5b (Arena_cache.encode ~key:"golden/python/1" arena))
 
+(* Generated traces themselves, at the sizes the benchmark and serve
+   build them: perfbench's 200 k-event arenas (inputs 0 and 1 of the
+   four apps it runs), a 120 k-event serve chunk after the drift flip
+   (phase 1, the input of generation 6), the SPEC mixes, two sampled
+   fleet apps, and one model continued across two builds and then
+   its source, whose walk and history carry across calls. *)
+let gen_arena ?(phase = 0) ~events config ~input =
+  let cfg = Workloads.build_cfg config in
+  Arena.build ~events (App_model.create ~phase ~cfg ~config ~input ())
+
+let test_arena_digests () =
+  List.iter
+    (fun (name, events, input, expected) ->
+      check
+        (Printf.sprintf "arena %s/%d/%d" name input events)
+        expected
+        (Arena.digest (gen_arena ~events (app name) ~input)))
+    [
+      ("finagle-http", 200_000, 0, "ae90ebf0859f71dd616e46a94a043cb0");
+      ("finagle-http", 200_000, 1, "848fabf7c5373adcb668ee864b2e25da");
+      ("python", 200_000, 0, "d418501b03d70606628c1658ac1ab06f");
+      ("python", 200_000, 1, "bf76ba8dd4b6dfa70b8e16567680f913");
+      ("cassandra", 200_000, 0, "f40a1aaa246a3cfd50b19737e29932c8");
+      ("cassandra", 200_000, 1, "947bd7ad41c561b6f3fe7718d1f0b657");
+      ("mysql", 200_000, 0, "e1f2b12d1cd3656f8f606c84e9916391");
+      ("mysql", 200_000, 1, "26cb4bd7acad3333ec8628e53b437d6d");
+      ("gcc", 20_000, 0, "05b954771f316f411c26d8f92055a9df");
+      ("mcf", 20_000, 0, "38d1f733de502ecf59f75cd22ba23e07");
+    ];
+  check "arena finagle-http phase 1" "5a3e434a9463d0119112977b5722db21"
+    (Arena.digest
+       (gen_arena ~phase:1 ~events:120_000 (app "finagle-http") ~input:8));
+  List.iter
+    (fun (index, input, expected) ->
+      let config = Workloads.sample ~seed:7 ~index in
+      check
+        (Printf.sprintf "arena %s/%d" config.Workloads.name input)
+        expected
+        (Arena.digest (gen_arena ~events:20_000 config ~input)))
+    [
+      (0, 0, "42d68c4a82fb970522752d46b18d22af");
+      (5, 1, "3f7a98dcb2f3634b9cd14f5670ec239c");
+    ];
+  let config = app "python" in
+  let m =
+    App_model.create ~cfg:(Workloads.build_cfg config) ~config ~input:1 ()
+  in
+  let a = Arena.build ~events:7_777 m in
+  let b = Arena.build ~events:12_345 m in
+  let next = App_model.source m in
+  let tail =
+    List.init 100 (fun _ ->
+        let e = next () in
+        Printf.sprintf "%d/%d/%b/%d/%d" e.Branch.block e.pc e.taken e.instrs
+          e.next_addr)
+  in
+  check "continued model" "8d40e767bbb076244169fe562b6d1eda"
+    (md5 (String.concat "\n" (Arena.digest a :: Arena.digest b :: tail)))
+
+let test_arena_profiles () =
+  List.iter
+    (fun (what, arena, pins) ->
+      List.iter
+        (fun (kb, expected) ->
+          check
+            (Printf.sprintf "profile %s %d KB" what kb)
+            expected
+            (md5b (Profile_io.to_bytes (Runner.profile_arena ~kb arena))))
+        pins)
+    [
+      ( "cassandra/0",
+        gen_arena ~events:200_000 (app "cassandra") ~input:0,
+        [
+          (8, "09fdaefbe4113427868df66b690ba7d1");
+          (64, "90054ddf36dd0049fa07bc8cf3c3f887");
+        ] );
+      ( "finagle-http phase 1",
+        gen_arena ~phase:1 ~events:120_000 (app "finagle-http") ~input:8,
+        [
+          (8, "9c6fcfff6f2b664a0f957e53383d59de");
+          (64, "bbab5abd13d9e16e0e04e1c622c19fc1");
+        ] );
+    ]
+
 (* The sweep and serve configurations of test_sweep.ml and
    test_serve.ml. *)
 let sweep_cfg ~state_dir =
@@ -200,6 +286,9 @@ let () =
             test_rombf_entries;
           Alcotest.test_case "lbr profiles" `Quick test_profiles;
           Alcotest.test_case "arena-cache entry" `Quick test_arena_entry;
+          Alcotest.test_case "generated arenas" `Quick test_arena_digests;
+          Alcotest.test_case "profiles of generated arenas" `Quick
+            test_arena_profiles;
           Alcotest.test_case "manifest ids" `Quick test_manifest_ids;
           Alcotest.test_case "sweep report and journal" `Quick
             test_sweep_outputs;
