@@ -78,6 +78,10 @@ let sat_dec c ~min = if c <= min then min else c - 1
 let fold v ~top ~mask ~b ~o ~out =
   ((v lsl 1) lor (v lsr top)) land mask lxor b lxor (o lsl out)
 
+(* bit [i] of an arena's taken bitmap *)
+let[@inline] bit bits i =
+  (Char.code (Bytes.unsafe_get bits (i lsr 3)) lsr (i land 7)) land 1
+
 let bump b c ~taken ~max =
   let v = Char.code (Bytes.unsafe_get b c) in
   Bytes.unsafe_set b c
@@ -90,6 +94,7 @@ let check arena ~n ~verdicts =
 
 let fill sizes ~arena ~n ~covered ~verdicts =
   let module A = Whisper_trace.Arena in
+  let pcs = arena.A.pc and bits = arena.A.taken in
   let p = sizes.Sizes.tage in
   if p.Tage.tag_bits < 2 || p.Tage.tag_bits > 15 then
     invalid_arg "Tage_scl.fill: tag_bits outside 2..15";
@@ -123,9 +128,10 @@ let fill sizes ~arena ~n ~covered ~verdicts =
   in
   let t_top = p.tag_bits - 1 and sc_top = sc_log - 1 in
   for i = 0 to n - 1 do
-    let taken = A.taken arena i in
+    let b = bit bits i in
+    let taken = b = 1 in
     if Bytes.unsafe_get covered i = '\000' then begin
-      let pc = A.pc arena i in
+      let pc = Array.unsafe_get pcs i in
       let pc2 = pc lsr 2 in
       (* TAGE: hashes, provider (longest match) and alternate *)
       for k = 0 to nt - 1 do
@@ -210,11 +216,11 @@ let fill sizes ~arena ~n ~covered ~verdicts =
       if sc_pred <> tage_pred then begin
         tc := !tc + if sc_pred = taken then 1 else -1;
         if !tc <= -16 then begin
-          threshold := min 256 (!threshold * 2);
+          threshold := Int.min 256 (!threshold * 2);
           tc := 0
         end
         else if !tc >= 16 then begin
-          threshold := max 6 (!threshold - 2);
+          threshold := Int.max 6 (!threshold - 2);
           tc := 0
         end
       end;
@@ -239,7 +245,7 @@ let fill sizes ~arena ~n ~covered ~verdicts =
       let start = provider + 1 in
       if tage_pred <> taken && start < nt then begin
         let start =
-          min (nt - 1)
+          Int.min (nt - 1)
             (if Whisper_util.Rng.int rng 4 = 0 then start + 1 else start)
         in
         let k = ref start in
@@ -269,10 +275,9 @@ let fill sizes ~arena ~n ~covered ~verdicts =
       end
     end;
     (* every event, covered or not, advances the folds *)
-    let b = Bool.to_int taken in
     for k = 0 to nt - 1 do
       let l = Array.unsafe_get lens k and q = 3 * k in
-      let o = if i >= l then Bool.to_int (A.taken arena (i - l)) else 0 in
+      let o = if i >= l then bit bits (i - l) else 0 in
       Array.unsafe_set f q
         (fold (Array.unsafe_get f q) ~top:(log_e - 1) ~mask:idx_mask ~b ~o
            ~out:(Array.unsafe_get f_out q));
@@ -286,7 +291,7 @@ let fill sizes ~arena ~n ~covered ~verdicts =
     done;
     for j = 0 to nb - 1 do
       let l = Array.unsafe_get sc_lens j and q = (3 * nt) + j in
-      let o = if i >= l then Bool.to_int (A.taken arena (i - l)) else 0 in
+      let o = if i >= l then bit bits (i - l) else 0 in
       Array.unsafe_set f q
         (fold (Array.unsafe_get f q) ~top:sc_top ~mask:sc_mask ~b ~o
            ~out:(Array.unsafe_get f_out q))
@@ -302,7 +307,7 @@ let hybrid sizes ~decide ~arena ~n ~verdicts =
     else begin
       Bytes.unsafe_set covered i '\001';
       Bytes.unsafe_set verdicts i
-        (if d = Bool.to_int (Whisper_trace.Arena.taken arena i) then '\001'
+        (if d = bit arena.Whisper_trace.Arena.taken i then '\001'
          else '\000')
     end
   done;

@@ -87,11 +87,30 @@ module Runtime = struct
   type rt = {
     spec : t;
     base : Whisper_bpu.Predictor.t;
+    (* the models by pc, open addressing with linear probing: slot [s]
+       holds pc [keys.(s)]'s model, or [None] when free; at most half
+       the slots are taken, so every probe ends at a free slot *)
+    keys : int array;
+    slots : Model.t option array;
     mutable ghist : int;  (* raw last-56 outcomes, newest in bit 0 *)
     features : int array;
     scratch : Model.scratch;
     mutable n_covered : int;
   }
+
+  let[@inline] home pc mask = ((pc lsr 2) lxor (pc lsr 13)) land mask
+
+  let[@inline] probe keys slots pc =
+    let mask = Array.length keys - 1 in
+    let s = ref (home pc mask) in
+    while
+      match Array.unsafe_get slots !s with
+      | Some _ -> Array.unsafe_get keys !s <> pc
+      | None -> false
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
 
   let create spec ~baseline =
     (* [decide] feeds every model the same [feature_bytes] history
@@ -102,9 +121,22 @@ module Runtime = struct
         if Model.n_inputs m <> feature_bytes * 8 then
           invalid_arg "Branchnet.Runtime.create")
       spec.models;
+    let size = ref 16 in
+    while !size < 2 * Hashtbl.length spec.models do
+      size := 2 * !size
+    done;
+    let keys = Array.make !size 0 and slots = Array.make !size None in
+    Hashtbl.iter
+      (fun pc m ->
+        let s = probe keys slots pc in
+        keys.(s) <- pc;
+        slots.(s) <- Some m)
+      spec.models;
     {
       spec;
       base = baseline;
+      keys;
+      slots;
       ghist = 0;
       features = Array.make feature_bytes 0;
       scratch = Model.scratch ();
@@ -113,7 +145,7 @@ module Runtime = struct
 
   let decide rt ~pc ~taken =
     let d =
-      match Hashtbl.find_opt rt.spec.models pc with
+      match Array.unsafe_get rt.slots (probe rt.keys rt.slots pc) with
       | None -> -1
       | Some model ->
           for b = 0 to feature_bytes - 1 do

@@ -256,25 +256,14 @@ let profile_key ctx app ~inputs ~kb =
 
 (* Stage the LBR baseline once: the compiled TAGE-SC-L kernel fills a
    verdict bitmap in one monomorphic pass, and both profiling passes
-   replay it through a cursor.  Collection calls the predictor exactly
-   once per event in order with a fresh instance per pass, so the cursor
-   sequence is byte-identical to a fresh closure predictor per pass —
-   while running the predictor once instead of twice and at compiled
-   speed. *)
+   read it. *)
 let profile_arena ?max_samples ~kb arena =
   let n = Arena.length arena in
   let verdicts = Bytes.create n in
   (Tage_scl.compiled (Sizes.for_budget ~kb)).Predictor.Compiled.fill ~arena ~n
     ~verdicts;
-  let make_predictor () =
-    let i = ref 0 in
-    fun ~pc:_ ~taken:_ ->
-      let v = Bytes.get verdicts !i <> '\000' in
-      incr i;
-      v
-  in
-  Profile.collect_arena ?max_samples ~lengths:Workloads.lengths ~events:n
-    ~arena ~make_predictor ()
+  Profile.collect_verdicts ?max_samples ~lengths:Workloads.lengths ~events:n
+    ~arena ~verdicts ()
 
 let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
   let kb = Option.value baseline_kb ~default:ctx.base_kb in

@@ -41,6 +41,21 @@ let build ~events model =
     ~next_addr:t.next_addr ~taken:t.taken;
   t
 
+let of_source ~events src =
+  if events < 0 then invalid_arg "Arena.of_source: negative events";
+  let t = alloc events in
+  for i = 0 to events - 1 do
+    let e : Branch.event = src () in
+    t.block.(i) <- e.block;
+    t.pc.(i) <- e.pc;
+    t.instrs.(i) <- e.instrs;
+    t.next_addr.(i) <- e.next_addr;
+    if e.taken then
+      Bytes.set t.taken (i lsr 3)
+        (Char.chr (Char.code (Bytes.get t.taken (i lsr 3)) lor (1 lsl (i land 7))))
+  done;
+  t
+
 let event t i =
   if i < 0 || i >= t.n then invalid_arg "Arena.event: index out of bounds";
   {

@@ -14,12 +14,28 @@
     callers iterate [0 .. length t - 1], which every in-tree replay loop
     establishes once up front. *)
 
-type t
+type t = private {
+  n : int;
+  block : int array;
+  pc : int array;
+  instrs : int array;
+  next_addr : int array;
+  taken : Bytes.t;  (** bit [i] of byte [i/8] *)
+}
+(** Read-only views of the packed buffers, for per-event loops in other
+    modules: under dune's default [-opaque] builds a call to the
+    accessors below is a closure call that is never inlined, so hot
+    loops index these arrays themselves.  Event [i < n] is index [i] of
+    each array and bit [i] of [taken]; the arrays may be longer than [n].
+    Never write to them: pool domains share one arena. *)
 
 val build : events:int -> App_model.t -> t
 (** Advance [model] by [events] events (via {!App_model.fill}), packing
     them into a fresh arena.  The stream is byte-identical to what the
     same model would have produced through {!App_model.source}. *)
+
+val of_source : events:int -> Branch.source -> t
+(** Pack the next [events] events of a closure source. *)
 
 val length : t -> int
 

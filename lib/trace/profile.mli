@@ -88,12 +88,15 @@ val collect :
   make_predictor:(unit -> pc:int -> taken:bool -> bool) ->
   unit ->
   t
-(** Two-pass collection over [events] branch events.  [make_source] and
-    [make_predictor] must return {e fresh} deterministic instances on each
-    call (the second pass replays the same trace against a fresh baseline
-    predictor, standing in for a second production profiling window).
-    The predictor closure returns whether its prediction was correct — the
-    information LBR exposes.
+(** Two-pass collection over [events] branch events: the source's events
+    are packed into an {!Arena} and collected by {!collect_arena}.
+    [make_source] and [make_predictor] must return {e fresh}
+    deterministic instances on each call (the second pass replays the
+    same trace against a fresh baseline predictor, standing in for a
+    second production profiling window; a fresh deterministic predictor
+    repeats the first pass's verdicts, so one instance is run once and
+    its verdicts serve both passes).  The predictor closure returns
+    whether its prediction was correct — the information LBR exposes.
 
     Defaults: [max_candidates] 2048, [min_mispred] 8, [max_samples] 512
     per branch, [chunk] 8. *)
@@ -109,12 +112,32 @@ val collect_arena :
   make_predictor:(unit -> pc:int -> taken:bool -> bool) ->
   unit ->
   t
-(** Same two-pass collection replayed from a packed {!Arena} instead of a
-    closure source: both passes walk the arena by index, so the stream is
-    generated zero times here (and zero bytes are allocated per event).
-    Shares its implementation with {!collect} — for equal streams the two
-    produce byte-identical profiles.
+(** Same two-pass collection replayed from a packed {!Arena}: the
+    predictor's verdicts over the first [events] events feed
+    {!collect_verdicts}.
     @raise Invalid_argument if [events] exceeds the arena's length. *)
+
+val collect_verdicts :
+  ?max_candidates:int ->
+  ?min_mispred:int ->
+  ?max_samples:int ->
+  ?chunk:int ->
+  lengths:int array ->
+  events:int ->
+  arena:Arena.t ->
+  verdicts:Bytes.t ->
+  unit ->
+  t
+(** The collection core under {!collect} and {!collect_arena}, for a
+    baseline whose verdicts are already staged: byte [i] of [verdicts]
+    is non-zero when the baseline predicted event [i] correctly.  Both
+    passes walk the arena by index and count into per-branch arrays;
+    nothing is allocated per event.
+    @raise Invalid_argument if [events] exceeds the arena's length or
+    [verdicts], if the chunk or length series is bad, or if the arena's
+    blocks and pcs are not one-to-one (as every generated arena's are;
+    a corrupt cache entry need not be), or its block ids lie far beyond
+    its length. *)
 
 (** {1 Merging (paper Fig. 18)} *)
 

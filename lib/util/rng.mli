@@ -56,3 +56,17 @@ val choose : t -> 'a array -> 'a
 val sample_weighted : t -> (float * 'a) array -> 'a
 (** [sample_weighted t arr] picks an element with probability proportional
     to its weight.  Weights must be non-negative and not all zero. *)
+
+val running_sums : float array -> float array
+(** [running_sums w] is the array of prefix sums [w.(0)], [w.(0) +. w.(1)],
+    ..., accumulated left to right — the same float sums
+    {!sample_weighted} forms while it scans. *)
+
+val sample_cumulative : t -> float array -> int
+(** [sample_cumulative t sums] draws an index with probability
+    proportional to its weight, given the weights' {!running_sums}: a
+    binary search, where {!sample_weighted} re-sums and scans.  Over the
+    running sums of [Array.map fst arr] it makes the same draw and picks
+    the same index as [sample_weighted t arr].
+    @raise Invalid_argument if [sums] is empty or its total is not
+    positive. *)

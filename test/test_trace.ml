@@ -135,10 +135,10 @@ let test_behavior_random_frequency () =
 let test_behavior_record_updates_history () =
   let ctx = mk_ctx () in
   Behavior.record ctx true;
-  check_int "newest bit" 1 (History.get (Behavior.history ctx) 0);
+  check_int "newest bit" 1 (Behavior.outcome ctx 0);
   Behavior.record ctx false;
-  check_int "newest bit" 0 (History.get (Behavior.history ctx) 0);
-  check_int "previous bit" 1 (History.get (Behavior.history ctx) 1)
+  check_int "newest bit" 0 (Behavior.outcome ctx 0);
+  check_int "previous bit" 1 (Behavior.outcome ctx 1)
 
 (* ------------------------------------------------------------------ *)
 (* Cfg / Workloads                                                    *)
@@ -536,6 +536,120 @@ let test_profile_builder () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Refusals at the generator's and the collector's boundaries         *)
+(* ------------------------------------------------------------------ *)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_make_ctx_refuses_bad_series () =
+  List.iter
+    (fun (what, lengths, chunk) ->
+      check_bool what true
+        (raises_invalid (fun () -> Behavior.make_ctx ~lengths ~n_branches:1 ~chunk)))
+    [
+      ("zero length", [| 8; 0 |], 8);
+      ("negative length", [| -3 |], 8);
+      ("length past 2^24", [| 1 lsl 25 |], 8);
+      ("zero chunk", [| 8 |], 0);
+      ("chunk past 62", [| 8 |], 63);
+    ];
+  (* the ring is sized from the series: an outcome 2 * 2048 - 1 back is
+     still there, one more back reads as never recorded *)
+  let ctx = Behavior.make_ctx ~lengths:[| 2048 |] ~n_branches:1 ~chunk:8 in
+  Behavior.record ctx true;
+  for _ = 1 to 4095 do
+    Behavior.record ctx false
+  done;
+  check_int "oldest kept outcome" 1 (Behavior.outcome ctx 4095);
+  Behavior.record ctx false;
+  check_int "past the depth" 0 (Behavior.outcome ctx 4096);
+  check_bool "negative age" true (raises_invalid (fun () -> Behavior.outcome ctx (-1)))
+
+let test_behavior_refuses_bad_windows () =
+  let ctx = mk_ctx () and rng = Rng.create 3 in
+  List.iter
+    (fun (what, kind) ->
+      check_bool what true
+        (raises_invalid (fun () ->
+             Behavior.eval ctx ~rng ~branch:0 { Behavior.kind; noise = 0.0 })))
+    [
+      ("short window of 63", Behavior.Short_formula { len = 63; table = 1 });
+      ("ctx-prf window of 63", Ctx_prf { len = 63; seed = 1; p_taken = 0.5 });
+      (* a zero step looped forever before it was refused *)
+      ("parity step 0", Parity { len = 8; step = 0 });
+      ("hashed length index", Hashed_formula { len_idx = 16; formula_id = 1 });
+    ]
+
+let test_walk_refuses_bad_sessions () =
+  let ctx = Behavior.make_ctx ~lengths:[| 8 |] ~n_branches:3 ~chunk:8 in
+  let b = { Behavior.kind = Behavior.Always_taken; noise = 0.0 } in
+  let behaviors = Array.make 3 b and loop_back = Array.make 3 false in
+  let walk ?(ctx = ctx) ?(loop_back = loop_back) sessions sums () =
+    Behavior.walk ctx ~rng:(Rng.create 1) ~behaviors ~loop_back ~sessions ~sums
+  in
+  List.iter
+    (fun (what, f) -> check_bool what true (raises_invalid f))
+    [
+      ("block past the program", walk [| [| 0; 3 |] |] [| 1.0 |]);
+      ("negative block", walk [| [| -1 |] |] [| 1.0 |]);
+      ("empty session", walk [| [||] |] [| 1.0 |]);
+      ("sums for another catalogue", walk [| [| 0 |] |] [| 1.0; 2.0 |]);
+      ("no sessions", walk [||] [||]);
+      ("loop-back flags for another program", walk ~loop_back:[| false |] [| [| 0 |] |] [| 1.0 |]);
+      ( "fewer loop counters than blocks",
+        walk
+          ~ctx:(Behavior.make_ctx ~lengths:[| 8 |] ~n_branches:2 ~chunk:8)
+          [| [| 0 |] |] [| 1.0 |] );
+    ];
+  let w = walk [| [| 0; 1; 2 |] |] [| 1.0 |] () in
+  check_bool "short buffers" true
+    (raises_invalid (fun () ->
+         Behavior.walk_fill w ~n:9 ~block:(Array.make 8 0) ~taken:(Bytes.make 2 '\000')))
+
+(* Arenas whose blocks and pcs are not one-to-one cannot be counted by
+   block; collection refuses them instead of conflating two branches. *)
+let test_profile_refuses_inconsistent_arenas () =
+  let arena events =
+    let events = Array.of_list events in
+    let i = ref (-1) in
+    Arena.of_source ~events:(Array.length events) (fun () ->
+        incr i;
+        let block, pc = events.(!i) in
+        { Branch.block; pc; taken = true; instrs = 4; next_addr = 0 })
+  in
+  let collect a =
+    Profile.collect_verdicts ~lengths:Workloads.lengths ~events:(Arena.length a)
+      ~arena:a ~verdicts:(Bytes.make (Arena.length a) '\001') ()
+  in
+  List.iter
+    (fun (what, events) ->
+      check_bool what true (raises_invalid (fun () -> collect (arena events))))
+    [
+      ("a block with two pcs", [ (0, 100); (1, 200); (0, 104) ]);
+      ("a pc in two blocks", [ (0, 100); (1, 100) ]);
+      ("a negative block", [ (0, 100); (-1, 104) ]);
+    ];
+  check_int "a consistent arena collects" 3
+    (Profile.total_branches (collect (arena [ (0, 100); (1, 104); (0, 100) ])));
+  check_bool "fewer verdicts than events" true
+    (raises_invalid (fun () ->
+         let a = arena [ (0, 100) ] in
+         Profile.collect_verdicts ~lengths:Workloads.lengths ~events:1 ~arena:a
+           ~verdicts:Bytes.empty ()));
+  (* a well-formed cache entry whose block id would size a 2^40-entry
+     table: decoded fine, refused by collection without allocating *)
+  let w = Binio.Writer.create () in
+  Binio.Writer.magic w "WTAR";
+  Binio.Writer.varint w 1;
+  Binio.Writer.varint w 2;
+  List.iter (Binio.Writer.varint w) [ 0; 1 lsl 40; 100; 104; 4; 4; 0; 0 ];
+  Binio.Writer.bytes w (Bytes.make 1 '\003');
+  match Arena.of_bytes (Binio.Writer.contents w) with
+  | Error e -> Alcotest.failf "entry rejected: %s" (Whisper_error.to_string e)
+  | Ok a -> check_bool "block id past the arena" true (raises_invalid (fun () -> collect a))
+
 let () =
   Alcotest.run "whisper_trace"
     [
@@ -552,6 +666,12 @@ let () =
             test_case "random frequency" `Quick test_behavior_random_frequency;
             test_case "record updates history" `Quick
               test_behavior_record_updates_history;
+            test_case "make_ctx refuses bad series" `Quick
+              test_make_ctx_refuses_bad_series;
+            test_case "refuses bad windows" `Quick
+              test_behavior_refuses_bad_windows;
+            test_case "walk refuses bad sessions" `Quick
+              test_walk_refuses_bad_sessions;
           ] );
       ( "cfg",
         Alcotest.
@@ -599,5 +719,7 @@ let () =
             test_case "merge" `Quick test_profile_merge;
             test_case "merge invalid" `Quick test_profile_merge_invalid;
             test_case "builder" `Quick test_profile_builder;
+            test_case "refuses inconsistent arenas" `Quick
+              test_profile_refuses_inconsistent_arenas;
           ] );
     ]

@@ -101,6 +101,22 @@ let test_rng_sample_weighted () =
     Alcotest.(check bool) "only positive weight" true (v = `B)
   done
 
+(* the running sums and a binary search pick what the re-summing scan
+   picks, draw for draw, zero weights included *)
+let test_rng_sample_cumulative () =
+  let weights = [| (0.0, 0); (2.0, 1); (0.5, 2); (0.0, 3); (1.5, 4); (0.0, 5) |] in
+  let sums = Rng.running_sums (Array.map fst weights) in
+  let a = Rng.create 31 and b = Rng.create 31 in
+  for _ = 1 to 2_000 do
+    Alcotest.(check int) "same pick"
+      (Rng.sample_weighted b weights)
+      (Rng.sample_cumulative a sums)
+  done;
+  Alcotest.check_raises "empty" (Invalid_argument "Rng.sample_cumulative")
+    (fun () -> ignore (Rng.sample_cumulative a [||]));
+  Alcotest.check_raises "zero total" (Invalid_argument "Rng.sample_cumulative")
+    (fun () -> ignore (Rng.sample_cumulative a [| 0.0; 0.0 |]))
+
 let test_rng_choose () =
   let t = Rng.create 29 in
   let v = Rng.choose t [| 1; 2; 3 |] in
@@ -540,6 +556,7 @@ let () =
           Alcotest.test_case "shuffle multiset" `Quick test_rng_shuffle_multiset;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "sample weighted" `Quick test_rng_sample_weighted;
+          Alcotest.test_case "sample cumulative" `Quick test_rng_sample_cumulative;
           Alcotest.test_case "choose" `Quick test_rng_choose;
         ] );
       ( "bitops",
