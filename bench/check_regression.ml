@@ -14,9 +14,12 @@
          the same events/smoke settings, the replay bench's measured
          telemetry overhead must stay under max(5%%, 5 ns/event), and the
          replay bench must report pipeline_identical (compiled arena
-         strategies byte-identical to the closure path) and
+         strategies byte-identical to the closure path),
          branchnet_sgd_identical (BranchNet's SGD kernel trains the
-         per-bit oracle's weights bit for bit).
+         per-bit oracle's weights bit for bit), generator_identical
+         (App_model builds the pre-rewrite generator's arena byte for
+         byte) and profile_collect_identical (the dense-id passes give
+         the pre-rewrite collector's Profile_io bytes).
 
          Each --floor NAME=V (repeatable) additionally requires the fresh
          run's numeric field NAME to be >= V — an absolute floor,
@@ -231,6 +234,8 @@ let check_bench kind ~baseline_path ~fresh_path ~tolerance ~floors =
          stopped asserting fails the gate *)
       check_bool_field "pipeline_identical" fresh_path fresh;
       check_bool_field "branchnet_sgd_identical" fresh_path fresh;
+      check_bool_field "generator_identical" fresh_path fresh;
+      check_bool_field "profile_collect_identical" fresh_path fresh;
       (* Prefer the paired overhead statistic (median of interleaved
          per-round on-off differences) when the bench emits it: it
          cancels round-local drift that the difference-of-medians still

@@ -668,6 +668,73 @@ let replay_bench () =
     then sgd_identical := false
   done;
   let sgd_speedup = !best_oracle /. !best_kernel in
+  (* --- the trace generator and the two LBR passes against the code
+     they replaced (test/oracle): arenas of the same model, and profiles
+     of the same arena and TAGE-SC-L verdicts.  Best of [front_reps]
+     interleaved reps, model creation included; the arena and the
+     profile must come out byte-identical every time. *)
+  let module G = Whisper_oracle.Generator_ref in
+  let front_reps = 3 in
+  let best_gen = ref infinity and best_gen_oracle = ref infinity in
+  let generator_identical = ref true in
+  let verdicts = Bytes.create n_events in
+  Whisper_bpu.Tage_scl.fill (Whisper_bpu.Sizes.for_budget ~kb:64) ~arena
+    ~n:n_events ~covered:(Bytes.make n_events '\000') ~verdicts;
+  let best_prof = ref infinity and best_prof_oracle = ref infinity in
+  let profile_identical = ref true in
+  for _ = 1 to front_reps do
+    let s, a =
+      time_once (fun () ->
+          Arena.build ~events:n_events
+            (App_model.create ~cfg ~config:app ~input:1 ()))
+    in
+    best_gen := Float.min !best_gen s;
+    let s, (block, pc, instrs, next_addr, taken) =
+      time_once (fun () ->
+          let block = Array.make n_events 0 and pc = Array.make n_events 0 in
+          let instrs = Array.make n_events 0 in
+          let next_addr = Array.make n_events 0 in
+          let taken = Bytes.make ((n_events + 7) / 8) '\000' in
+          G.App_model.fill
+            (G.App_model.create ~cfg ~config:app ~input:1 ())
+            ~n:n_events ~block ~pc ~instrs ~next_addr ~taken;
+          (block, pc, instrs, next_addr, taken))
+    in
+    best_gen_oracle := Float.min !best_gen_oracle s;
+    let n = n_events in
+    if
+      Array.sub a.Arena.block 0 n <> block
+      || Array.sub a.Arena.pc 0 n <> pc
+      || Array.sub a.Arena.instrs 0 n <> instrs
+      || Array.sub a.Arena.next_addr 0 n <> next_addr
+      || Bytes.sub a.Arena.taken 0 ((n + 7) / 8) <> taken
+    then generator_identical := false;
+    let s, p =
+      time_once (fun () ->
+          Profile.collect_verdicts ~lengths:Workloads.lengths ~events:n ~arena
+            ~verdicts ())
+    in
+    best_prof := Float.min !best_prof s;
+    let s, q =
+      time_once (fun () ->
+          Whisper_oracle.Profile_ref.collect_arena ~lengths:Workloads.lengths
+            ~events:n ~arena
+            ~make_predictor:(fun () ->
+              let i = ref 0 in
+              fun ~pc:_ ~taken:_ ->
+                let v = Bytes.get verdicts !i <> '\000' in
+                incr i;
+                v)
+            ())
+    in
+    best_prof_oracle := Float.min !best_prof_oracle s;
+    if Profile_io.to_bytes p <> Profile_io.to_bytes q then
+      profile_identical := false
+  done;
+  let generator_ns = 1e9 *. !best_gen /. fe in
+  let generator_oracle_ns = 1e9 *. !best_gen_oracle /. fe in
+  let generator_speedup = generator_oracle_ns /. generator_ns in
+  let profile_collect_speedup = !best_prof_oracle /. !best_prof in
   (* --- compiled whisper runtime vs the retained interpretive oracle,
      over the same plan, baseline and arena: the representation change
      (CSR plan, truth-table bank, sentinel-int buffer, used-length
@@ -957,6 +1024,15 @@ let replay_bench () =
      models, identical %b)\n"
     (1e3 *. !best_oracle) (1e3 *. !best_kernel) sgd_speedup
     (List.length sgd_sets) !sgd_identical;
+  Printf.printf
+    "  generator           %8.1f -> %7.1f ns/event  (%.1fx, oracle -> \
+     library, identical %b)\n"
+    generator_oracle_ns generator_ns generator_speedup !generator_identical;
+  Printf.printf
+    "  profile collect     %8.2f -> %7.2f ms  (%.1fx, oracle -> library, \
+     identical %b)\n"
+    (1e3 *. !best_prof_oracle) (1e3 *. !best_prof) profile_collect_speedup
+    !profile_identical;
   Printf.printf "  event delivery     %8.1f -> %7.1f ns/event  (build %.1f ns/event)\n"
     closure_gen_ns arena_replay_ns arena_build_ns;
   Printf.printf
@@ -996,6 +1072,14 @@ let replay_bench () =
   "branchnet_sgd_kernel_ms": %.2f,
   "branchnet_sgd_speedup": %.2f,
   "branchnet_sgd_identical": %b,
+  "generator_ns_per_event": %.2f,
+  "generator_oracle_ns_per_event": %.2f,
+  "generator_speedup": %.2f,
+  "generator_identical": %b,
+  "profile_collect_ms": %.2f,
+  "profile_collect_oracle_ms": %.2f,
+  "profile_collect_speedup": %.2f,
+  "profile_collect_identical": %b,
   "technique_sims": [
 %s
   ],
@@ -1029,7 +1113,9 @@ let replay_bench () =
     (closure_gen_ns /. arena_replay_ns)
     whisper_compiled_ns whisper_reference_ns whisper_runtime_speedup
     (List.length sgd_sets) (1e3 *. !best_oracle) (1e3 *. !best_kernel)
-    sgd_speedup !sgd_identical
+    sgd_speedup !sgd_identical generator_ns generator_oracle_ns
+    generator_speedup !generator_identical (1e3 *. !best_prof)
+    (1e3 *. !best_prof_oracle) profile_collect_speedup !profile_identical
     (String.concat ",\n"
        (List.map
           (fun (name, c_ns, a_ns) ->
@@ -1137,9 +1223,9 @@ let serve_bench () =
      %!"
     clean.Serve.total clean_s clean.Serve.rollouts clean.Serve.drift_detected;
   (* --- chunk collection, both ways over the same stream: the closure
-     oracle (stream regenerated per pass, closure-record TAGE-SC-L run
-     per pass) and the collector serve runs (arena packed once, compiled
-     verdict fill once).  The two run back to back in each of [reps]
+     oracle (test/oracle's pre-rewrite collector: stream regenerated per
+     pass, closure-record TAGE-SC-L run per pass) and the collector
+     serve runs (arena packed once, compiled verdict fill once).  The two run back to back in each of [reps]
      pairs, and the speedup is the median of the per-pair ratios, so a
      host-speed change between pairs cancels; the ns/event figures are
      the best of [reps].  The encoded chunks must be byte-identical
@@ -1148,7 +1234,8 @@ let serve_bench () =
   let cfg_static = Workloads.build_cfg wcfg in
   let model input = App_model.create ~cfg:cfg_static ~config:wcfg ~input () in
   let closure_chunk input =
-    Profile.collect ~max_samples:512 ~lengths:Workloads.lengths
+    Whisper_oracle.Profile_ref.collect ~max_samples:512
+      ~lengths:Workloads.lengths
       ~events:chunk_events
       ~make_source:(fun () -> App_model.source (model input))
       ~make_predictor:(Whisper_sim.Runner.lbr_predictor 64)
