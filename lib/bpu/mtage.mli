@@ -14,5 +14,10 @@ val predictor : ?n_lengths:int -> ?max_len:int -> unit -> Predictor.t
     category). *)
 
 val compiled : ?n_lengths:int -> ?max_len:int -> unit -> Predictor.Compiled.t
-(** Staged arena kernel (fresh instance per [fill] call); see
-    {!Predictor.Compiled} for the contract. *)
+(** The flat arena kernel, as {!Predictor.Compiled} specifies: each
+    [fill] runs a fresh instance over events [0 .. n-1], reading history
+    from the arena's taken bitmap and keeping each length's substreams
+    in an open-addressing table, so its verdicts equal those of
+    {!predictor} driven event by event.
+    @raise Invalid_argument from [fill] if [n] exceeds the arena or
+    [verdicts] is shorter than [n]. *)

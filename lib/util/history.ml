@@ -23,19 +23,6 @@ let get t i =
     let idx = if idx < 0 then idx + t.cap else idx in
     Char.code (Bytes.unsafe_get t.buf idx)
 
-let raw_window t n =
-  if n < 0 || n > 62 then invalid_arg "History.raw_window";
-  let rec go i acc = if i >= n then acc else go (i + 1) (acc lor (get t i lsl i)) in
-  go 0 0
-
-let hash_window t ~len ~chunk =
-  if chunk <= 0 || chunk > 62 then invalid_arg "History.hash_window";
-  let acc = ref 0 in
-  for j = 0 to len - 1 do
-    acc := !acc lxor (get t j lsl (j mod chunk))
-  done;
-  !acc
-
 module Folded = struct
   type h = t
 

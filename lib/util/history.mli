@@ -1,9 +1,10 @@
 (** Global branch-history ring buffer.
 
     Stores the most recent branch outcomes (1 = taken, 0 = not taken) up to
-    a fixed depth.  Both the workload generator's ground-truth behaviours
-    and Whisper's run-time hashing read from the same abstraction, so the
-    hash definition is shared by construction. *)
+    a fixed depth.  The closure predictors and Whisper's run-time hashing
+    keep their folded registers over it; the flat kernels read the same
+    bits from an arena's taken bitmap instead.  The windows' definitions,
+    which the tests check both against, live in [test/oracle]. *)
 
 type t
 
@@ -18,17 +19,6 @@ val get : t -> int -> int
 (** [get t i] is the outcome of the branch [i+1] branches ago (so [get t 0]
     is the most recent outcome), as 0 or 1.  Outcomes older than [depth]
     read as 0.  @raise Invalid_argument if [i < 0]. *)
-
-val raw_window : t -> int -> int
-(** [raw_window t n] packs the last [n <= 62] outcomes into an int, with
-    the most recent outcome in bit 0. *)
-
-val hash_window : t -> len:int -> chunk:int -> int
-(** [hash_window t ~len ~chunk] computes the folded hash of the last [len]
-    outcomes into [chunk] bits: bit of age [j] contributes to hash position
-    [j mod chunk] (XOR).  This is the paper's history hashing (§III-A) and
-    is definitionally equal to the value maintained incrementally by
-    {!Folded}. *)
 
 (** Incrementally maintained folded (hashed) history, one register per
     tracked history length — the same circular-shift-register construction

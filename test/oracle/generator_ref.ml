@@ -133,7 +133,7 @@ module Behavior = struct
         ctx.loop_counters.(branch) <- (c + 1) mod period;
         c < period - 1
     | Short_formula { len; table } ->
-        let idx = History.raw_window ctx.hist len in
+        let idx = History_ref.raw_window ctx.hist len in
         (table lsr idx) land 1 = 1
     | Hashed_formula { len_idx; formula_id } ->
         let h = hash_at ctx len_idx in
@@ -147,7 +147,7 @@ module Behavior = struct
         done;
         !acc = 1
     | Ctx_prf { len; seed; p_taken } ->
-        let w = History.raw_window ctx.hist len in
+        let w = History_ref.raw_window ctx.hist len in
         let z = (seed * 0x9E3779B1) lxor (w * 0x85EBCA77) in
         let z = (z lxor (z lsr 31)) * 0xC2B2AE3D in
         let z = (z lxor (z lsr 29)) land 0x3FFFFFFF in

@@ -284,6 +284,35 @@ let test_mtage_memorizes () =
   let acc = accuracy p (fun i -> (0x4000, pat.(i mod 200))) 30_000 in
   check_bool "memorizes long pattern" true (acc > 0.97)
 
+(* The flat kernel reads the arena and writes the verdicts unchecked, so
+   it checks [n] against both before the first event. *)
+let test_mtage_fill_refuses () =
+  let src =
+    let i = ref 0 in
+    fun () ->
+      incr i;
+      {
+        Whisper_trace.Branch.block = 0;
+        pc = 0x4000;
+        taken = !i mod 3 = 0;
+        instrs = 4;
+        next_addr = 0x4000;
+      }
+  in
+  let arena = Whisper_trace.Arena.of_source ~events:1_000 src in
+  let fill = (Mtage.compiled ()).Predictor.Compiled.fill in
+  let refused = Invalid_argument "Mtage.compiled: n outside the arena or the verdicts" in
+  Alcotest.check_raises "short verdicts" refused (fun () ->
+      fill ~arena ~n:1_000 ~verdicts:(Bytes.create 999));
+  Alcotest.check_raises "n past the arena" refused (fun () ->
+      fill ~arena ~n:5_000 ~verdicts:(Bytes.create 5_000));
+  Alcotest.check_raises "negative n" refused (fun () ->
+      fill ~arena ~n:(-1) ~verdicts:(Bytes.create 0));
+  let verdicts = Bytes.make 1_001 '\042' in
+  fill ~arena ~n:1_000 ~verdicts;
+  check_bool "the byte past n is left alone" true
+    (Bytes.get verdicts 1_000 = '\042')
+
 let test_ideal () =
   let p = Predictor.ideal () in
   check_bool "oracle flag" true p.Predictor.is_oracle;
@@ -347,6 +376,8 @@ let () =
         Alcotest.
           [
             test_case "mtage memorizes" `Quick test_mtage_memorizes;
+            test_case "mtage kernel refuses bad n" `Quick
+              test_mtage_fill_refuses;
             test_case "ideal" `Quick test_ideal;
             test_case "always taken" `Quick test_always_taken_predictor;
           ] );

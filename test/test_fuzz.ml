@@ -716,7 +716,11 @@ let test_flat_cache_equals_reference () =
    [exec_at] over one) driven through the Indexed strategy.
 
    Each case is a random app replayed twice: once shorter than 1,024
-   events and once longer than 2,048.  TAGE-SC-L runs at every budget
+   events and once longer than 2,048.  MTAGE-SC runs at its default
+   geometry (9 lengths up to 1,024) and at a random one (2-12 lengths
+   up to 2,048) on both, and on a third replay of 20,000-40,000 events
+   in which its shortest table doubles several times, so the kernel's
+   table growth is checked too.  TAGE-SC-L runs at every budget
    Fig. 21 sweeps (8 KB to 1 MB) and at an 8 KB geometry whose
    usefulness counters age every 2^10 trains, which the long replay
    always reaches; the smallest tables put usefulness to work in
@@ -743,6 +747,13 @@ let test_compiled_kernels_equal_closure_oracle () =
   for case = 1 to config_cases do
     let wl, cfg, wconfig, plan =
       random_plan rng ~name:(Printf.sprintf "fuzz-compiled-%d" case)
+    in
+    let mtage_geometries =
+      let n_lengths = 2 + Rng.int rng 11 in
+      (* [Geometric.series] needs max_len >= 8 + n_lengths - 1 *)
+      let lo = n_lengths + 7 in
+      let hi = if Rng.int rng 2 = 0 then 64 else 2048 in
+      [ (9, 1024); (n_lengths, lo + Rng.int rng (hi - lo + 1)) ]
     in
     let real_pc () =
       cfg.Cfg.blocks.(Rng.int rng (Array.length cfg.Cfg.blocks)).Cfg.branch_pc
@@ -776,36 +787,47 @@ let test_compiled_kernels_equal_closure_oracle () =
       }
     in
     let input = Rng.int rng 3 in
+    (* an arena of [events] events, checked under MTAGE-SC at both
+       geometries, with the helpers the other kernels' checks use *)
+    let replay events =
+      let arena =
+        Arena.build ~events (App_model.create ~cfg ~config:wl ~input ())
+      in
+      let run exec = Machine.run_arena_exec ~events ~arena ~exec () in
+      let diff name rc ro =
+        if rc <> ro then
+          Alcotest.failf
+            "case %d, %d events: %s compiled result diverges (seed %d)" case
+            events name seed
+      in
+      let indexed (p : Predictor.t) i =
+        let pc = Arena.pc arena i and taken = Arena.taken arena i in
+        let pred = p.Predictor.predict ~pc in
+        p.Predictor.train ~pc ~taken;
+        pred = taken
+      in
+      let compiled (c : Predictor.Compiled.t) = run (Machine.Compiled c.fill) in
+      List.iter
+        (fun (n_lengths, max_len) ->
+          diff
+            (Printf.sprintf "mtage-sc-%d/%d" n_lengths max_len)
+            (compiled (Mtage.compiled ~n_lengths ~max_len ()))
+            (run
+               (Machine.Indexed
+                  (indexed (Mtage.predictor ~n_lengths ~max_len ())))))
+        mtage_geometries;
+      (arena, run, diff, indexed, compiled)
+    in
+    ignore (replay (20_000 + Rng.int rng 20_001));
     List.iter
       (fun events ->
-        let arena =
-          Arena.build ~events (App_model.create ~cfg ~config:wl ~input ())
-        in
-        let run exec = Machine.run_arena_exec ~events ~arena ~exec () in
-        let diff name rc ro =
-          if rc <> ro then
-            Alcotest.failf
-              "case %d, %d events: %s compiled result diverges (seed %d)" case
-              events name seed
-        in
-        let indexed (p : Predictor.t) i =
-          let pc = Arena.pc arena i and taken = Arena.taken arena i in
-          let pred = p.Predictor.predict ~pc in
-          p.Predictor.train ~pc ~taken;
-          pred = taken
-        in
-        let compiled (c : Predictor.Compiled.t) = run (Machine.Compiled c.fill) in
+        let arena, run, diff, indexed, compiled = replay events in
         Array.iter
           (fun (label, s) ->
             diff ("tage-scl-" ^ label)
               (compiled (Tage_scl.compiled s))
               (run (Machine.Indexed (indexed (Tage_scl.predictor s)))))
           sizes;
-        diff "mtage-sc"
-          (compiled (Mtage.compiled ~n_lengths:4 ~max_len:64 ()))
-          (run
-             (Machine.Indexed
-                (indexed (Mtage.predictor ~n_lengths:4 ~max_len:64 ()))));
         (* the ideal technique: Oracle strategy == an always-correct closure *)
         diff "ideal" (run Machine.Oracle)
           (run (Machine.Indexed (fun _ -> true)));

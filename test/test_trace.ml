@@ -475,7 +475,9 @@ let test_profile_samples_agree_with_ground_truth () =
     let e = src () in
     if e.Branch.pc = pc0 then
       expected :=
-        (History.raw_window hist 8, History.Folded.value folded.(5), e.Branch.taken)
+        ( Whisper_oracle.History_ref.raw_window hist 8,
+          History.Folded.value folded.(5),
+          e.Branch.taken )
         :: !expected;
     History.push_all hist folded e.Branch.taken
   done;

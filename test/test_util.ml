@@ -484,8 +484,8 @@ let test_history_raw_window () =
   History.push h false;
   History.push h true;
   (* newest..oldest = 1,0,1 -> bits 0b101 *)
-  check_int "raw" 0b101 (History.raw_window h 3);
-  check_int "padded" 0b101 (History.raw_window h 6)
+  check_int "raw" 0b101 (Whisper_oracle.History_ref.raw_window h 3);
+  check_int "padded" 0b101 (Whisper_oracle.History_ref.raw_window h 6)
 
 let test_history_hash_window_small () =
   let h = History.create ~depth:16 in
@@ -495,7 +495,8 @@ let test_history_hash_window_small () =
   for j = 0 to 9 do
     expected := !expected lxor (History.get h j lsl (j mod 8))
   done;
-  check_int "matches definition" !expected (History.hash_window h ~len:10 ~chunk:8)
+  check_int "matches definition" !expected
+    (Whisper_oracle.History_ref.hash_window h ~len:10 ~chunk:8)
 
 let test_folded_matches_scratch () =
   let depth = 256 in
@@ -505,7 +506,9 @@ let test_folded_matches_scratch () =
   for _ = 1 to 500 do
     let b = Rng.bool rng in
     History.push_all h [| reg |] b;
-    let scratch = History.hash_window h ~len:37 ~chunk:8 in
+    let scratch =
+      Whisper_oracle.History_ref.hash_window h ~len:37 ~chunk:8
+    in
     check_int "incremental = scratch" scratch (History.Folded.value reg)
   done
 
@@ -519,7 +522,8 @@ let qcheck_folded_equivalence =
       List.for_all
         (fun b ->
           History.push_all h [| reg |] b;
-          History.Folded.value reg = History.hash_window h ~len ~chunk:8)
+          History.Folded.value reg
+          = Whisper_oracle.History_ref.hash_window h ~len ~chunk:8)
         bits)
 
 let test_folded_accessors () =
