@@ -215,21 +215,9 @@ let kb_arg =
 
 let technique_arg =
   let parse s =
-    match String.lowercase_ascii s with
-    | "baseline" | "tage-scl" -> Ok Whisper_sim.Runner.Baseline
-    | "ideal" -> Ok Whisper_sim.Runner.Ideal
-    | "mtage" | "mtage-sc" -> Ok Whisper_sim.Runner.Mtage_sc
-    | "rombf4" | "4b-rombf" -> Ok (Whisper_sim.Runner.Rombf 4)
-    | "rombf8" | "8b-rombf" -> Ok (Whisper_sim.Runner.Rombf 8)
-    | "branchnet8k" ->
-        Ok (Whisper_sim.Runner.Branchnet (Whisper_branchnet.Branchnet.Budget 8192))
-    | "branchnet32k" ->
-        Ok
-          (Whisper_sim.Runner.Branchnet (Whisper_branchnet.Branchnet.Budget 32768))
-    | "branchnet" ->
-        Ok (Whisper_sim.Runner.Branchnet Whisper_branchnet.Branchnet.Unlimited)
-    | "whisper" -> Ok (Whisper_sim.Runner.Whisper Whisper_core.Config.default)
-    | s -> Error (`Msg (Printf.sprintf "unknown technique %S" s))
+    Option.to_result
+      ~none:(`Msg (Printf.sprintf "unknown technique %S" s))
+      (Whisper_sim.Runner.technique_of_name s)
   in
   let print fmt t = Format.pp_print_string fmt (Whisper_sim.Runner.technique_name t) in
   Arg.(
@@ -237,8 +225,10 @@ let technique_arg =
     & opt (conv (parse, print)) Whisper_sim.Runner.Baseline
     & info [ "technique"; "t" ] ~docv:"TECH"
         ~doc:
-          "One of: baseline, ideal, mtage, rombf4, rombf8, branchnet8k, \
-           branchnet32k, branchnet, whisper")
+          "One of: tage-scl, ideal, mtage-sc, 4b-rombf, 8b-rombf, \
+           8KB-branchnet, 32KB-branchnet, unlimited-branchnet, whisper, or \
+           the aliases baseline, mtage, rombf4, rombf8, branchnet8k, \
+           branchnet32k, branchnet (any case)")
 
 let simulate_cmd =
   let run app technique events input kb jobs replay no_cache cache_dir
@@ -561,8 +551,8 @@ let sweep_cmd =
       & opt (list string) Whisper_sim.Sweep.default_techniques
       & info [ "techniques" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated techniques: tage-scl, ideal, mtage-sc, \
-             4b-rombf, 8b-rombf, whisper")
+            "Comma-separated techniques, named as for $(b,simulate) \
+             $(b,--technique)")
   in
   let state_dir_arg =
     Arg.(
@@ -654,7 +644,7 @@ let sweep_cmd =
     in
     (match
        List.find_opt
-         (fun t -> Whisper_sim.Sweep.parse_technique t = None)
+         (fun t -> Whisper_sim.Runner.technique_of_name t = None)
          techniques
      with
     | Some t ->

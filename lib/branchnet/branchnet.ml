@@ -34,49 +34,104 @@ let eval_baseline profile ~pc ~part =
       if keep && not correct then incr mispred);
   !mispred
 
-let train ?(budget = Unlimited) ?(epochs = 12) ?(max_models = 256)
-    ?(min_eval_gain = 2) profile =
-  let t0 = Unix.gettimeofday () in
-  let models = Hashtbl.create 64 in
-  let used_bytes = ref 0 in
-  (* every model has the same shape, so once one no longer fits in the
-     budget none does, and the walk stops *)
-  let model_bytes =
-    Model.storage_bytes (Model.create ~n_lengths:feature_bytes ~seed:0 ())
-  in
-  let budget_left () =
-    match budget with
-    | Unlimited -> Hashtbl.length models < max_models
-    | Budget b -> !used_bytes + model_bytes <= b
-  in
-  let candidates = Profile.candidates profile in
-  let scratch = Model.scratch () in
-  let i = ref 0 in
-  while budget_left () && !i < Array.length candidates do
-    let pc = candidates.(!i) in
-    incr i;
-    if Profile.n_samples profile ~pc >= 16 then begin
-      let xs, ys = gather profile ~pc ~part:`Train in
-      let model = Model.create ~n_lengths:feature_bytes ~seed:(pc lxor 0xB4A2) () in
-      Model.train_sgd model ~xs ~ys ~epochs ~lr:0.05;
-      (* held-out acceptance, mirroring the other techniques *)
-      let exs, eys = gather profile ~pc ~part:`Eval in
-      let m = ref 0 in
-      Array.iteri
-        (fun s features ->
-          if Model.predict_with scratch model ~features <> eys.(s) then
-            incr m)
-        exs;
-      let baseline = eval_baseline profile ~pc ~part:`Eval in
-      let required = max min_eval_gain ((baseline + 9) / 10) in
-      if baseline - !m >= required then begin
-        (* the budget pays for every deployed model *)
-        Hashtbl.replace models pc model;
-        used_bytes := !used_bytes + model_bytes
+(* every model has the same shape, so a budget of [b] bytes holds
+   [b / model_bytes] of them *)
+let model_bytes =
+  Model.storage_bytes (Model.create ~n_lengths:feature_bytes ~seed:0 ())
+
+(* The walk over a profile's candidates, in order, extended only as far
+   as some caller's budget needs.  Each model is seeded by its pc and
+   trained on the same samples whatever the budget, so every budget
+   deploys a prefix of one accepted sequence. *)
+type walk = {
+  profile : Profile.t;
+  epochs : int;
+  min_eval_gain : int;
+  on_train : unit -> unit;
+  candidates : int array;
+  scratch : Model.scratch;
+  lock : Mutex.t;  (* guards the fields below and [scratch] *)
+  mutable next : int;  (* index of the next candidate to visit *)
+  mutable accepted : (int * Model.t) list;  (* newest first *)
+  mutable n_accepted : int;
+}
+
+let walk ?(epochs = 12) ?(min_eval_gain = 2) ?(on_train = ignore) profile =
+  {
+    profile;
+    epochs;
+    min_eval_gain;
+    on_train;
+    candidates = Profile.candidates profile;
+    scratch = Model.scratch ();
+    lock = Mutex.create ();
+    next = 0;
+    accepted = [];
+    n_accepted = 0;
+  }
+
+(* Train candidate [pc]'s model; [Some model] when it beats the profiled
+   baseline on the held-out half. *)
+let accept w pc =
+  let profile = w.profile in
+  let xs, ys = gather profile ~pc ~part:`Train in
+  let model = Model.create ~n_lengths:feature_bytes ~seed:(pc lxor 0xB4A2) () in
+  Model.train_sgd model ~xs ~ys ~epochs:w.epochs ~lr:0.05;
+  (* held-out acceptance, mirroring the other techniques *)
+  let exs, eys = gather profile ~pc ~part:`Eval in
+  let m = ref 0 in
+  Array.iteri
+    (fun s features ->
+      if Model.predict_with w.scratch model ~features <> eys.(s) then incr m)
+    exs;
+  let baseline = eval_baseline profile ~pc ~part:`Eval in
+  let required = max w.min_eval_gain ((baseline + 9) / 10) in
+  if baseline - !m >= required then Some model else None
+
+(* Visit candidates until [k] models are accepted or none is left; the
+   caller holds [w.lock].  A candidate's visit updates the walk only
+   once it is done, so an exception leaves the walk as it was. *)
+let extend w k =
+  while w.n_accepted < k && w.next < Array.length w.candidates do
+    let pc = w.candidates.(w.next) in
+    let model =
+      if Profile.n_samples w.profile ~pc >= 16 then begin
+        w.on_train ();
+        accept w pc
       end
-    end
-  done;
+      else None
+    in
+    w.next <- w.next + 1;
+    match model with
+    | Some model ->
+        w.accepted <- (pc, model) :: w.accepted;
+        w.n_accepted <- w.n_accepted + 1
+    | None -> ()
+  done
+
+let take ?(max_models = 256) w budget =
+  let t0 = Unix.gettimeofday () in
+  let k =
+    match budget with
+    | Budget b -> max 0 (b / model_bytes)
+    | Unlimited -> max 0 max_models
+  in
+  let accepted =
+    Mutex.protect w.lock (fun () ->
+        extend w k;
+        w.accepted)
+  in
+  let models = Hashtbl.create 64 in
+  List.rev accepted
+  |> List.filteri (fun i _ -> i < k)
+  |> List.iter (fun (pc, model) -> Hashtbl.replace models pc model);
   { models; budget; training_seconds = Unix.gettimeofday () -. t0 }
+
+(* a fresh walk, so [training_seconds] is this budget's own walk *)
+let train ?(budget = Unlimited) ?epochs ?max_models ?min_eval_gain profile =
+  let t0 = Unix.gettimeofday () in
+  let t = take ?max_models (walk ?epochs ?min_eval_gain profile) budget in
+  { t with training_seconds = Unix.gettimeofday () -. t0 }
 
 let model_count t = Hashtbl.length t.models
 

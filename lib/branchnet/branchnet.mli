@@ -20,6 +20,30 @@ type t = {
   training_seconds : float;
 }
 
+type walk
+(** One walk over a profile's candidates in {!Whisper_trace.Profile.candidates}
+    order, shared by every budget.  It trains a candidate (one with at
+    least 16 samples) the first time some {!take} needs it and records
+    whether its model was accepted.  Safe to share across domains: a
+    walk extends under its own mutex. *)
+
+val walk :
+  ?epochs:int ->
+  ?min_eval_gain:int ->
+  ?on_train:(unit -> unit) ->
+  Whisper_trace.Profile.t ->
+  walk
+(** A walk that has trained nothing yet; [on_train] runs once per
+    candidate trained, under the walk's mutex.  Defaults: [epochs] 12,
+    [min_eval_gain] 2. *)
+
+val take : ?max_models:int -> walk -> budget -> t
+(** The first [b / 465] accepted models for [Budget b] (every model
+    takes 465 bytes) and the first [max_models] (default 256) for
+    [Unlimited], in acceptance order.  The walk is extended to that
+    acceptance and no further, so no candidate past it is trained.
+    [training_seconds] is this call's own time. *)
+
 val train :
   ?budget:budget ->
   ?epochs:int ->
@@ -27,10 +51,11 @@ val train :
   ?min_eval_gain:int ->
   Whisper_trace.Profile.t ->
   t
-(** Train models for the top mispredicting candidates until the budget
-    (or [max_models], default 256 for [`Unlimited]) is exhausted; a model
-    is kept only when it beats the profiled baseline on held-out samples.
-    Defaults: [budget = Unlimited], [epochs] 12. *)
+(** {!take} on a fresh {!walk}: train models for the top mispredicting
+    candidates until the budget (or [max_models], default 256 for
+    [`Unlimited]) is exhausted; a model is kept only when it beats the
+    profiled baseline on held-out samples.  [training_seconds] covers
+    the whole walk.  Defaults: [budget = Unlimited], [epochs] 12. *)
 
 val model_count : t -> int
 val storage_bytes : t -> int

@@ -22,8 +22,12 @@ val fig3 : Runner.ctx -> Report.t
 (** Misprediction class breakdown (compulsory/capacity/conflict/
     conditional-on-data). *)
 
+val prior_techniques : (string * Runner.technique) list
+(** The prior profile-guided techniques with their column labels:
+    4b- and 8b-ROMBF, and BranchNet at 8 KB, 32 KB and unlimited. *)
+
 val fig4 : Runner.ctx -> Report.t
-(** Misprediction reduction of prior profile-guided techniques. *)
+(** Misprediction reduction of {!prior_techniques}. *)
 
 val fig5 : Runner.ctx -> Report.t
 (** CDF of mispredictions over static branches (SPEC-like and

@@ -19,6 +19,36 @@ let technique_name = function
   | Branchnet Whisper_branchnet.Branchnet.Unlimited -> "unlimited-branchnet"
   | Whisper _ -> "whisper"
 
+(* The one technique table: every name {!technique_name} prints for the
+   figures' rows, plus the CLI's short aliases. *)
+let technique_names =
+  let open Whisper_branchnet.Branchnet in
+  List.map
+    (fun t -> (String.lowercase_ascii (technique_name t), t))
+    [
+      Baseline;
+      Ideal;
+      Mtage_sc;
+      Rombf 4;
+      Rombf 8;
+      Branchnet (Budget 8192);
+      Branchnet (Budget 32768);
+      Branchnet Unlimited;
+      Whisper Whisper_core.Config.default;
+    ]
+  @ [
+      ("baseline", Baseline);
+      ("mtage", Mtage_sc);
+      ("rombf4", Rombf 4);
+      ("rombf8", Rombf 8);
+      ("branchnet8k", Branchnet (Budget 8192));
+      ("branchnet32k", Branchnet (Budget 32768));
+      ("branchnet", Branchnet Unlimited);
+    ]
+
+let technique_of_name s =
+  List.assoc_opt (String.lowercase_ascii s) technique_names
+
 (* A stable cache key for a technique's configuration. *)
 let technique_key = function
   | Whisper c ->
@@ -46,6 +76,10 @@ type stats = {
 
 type replay = [ `Arena | `Closure ]
 
+(* A memo entry computed exactly once: the first caller to take its lock
+   computes the value while later callers wait for it. *)
+type 'a once = { once_lock : Mutex.t; mutable value : 'a option }
+
 type ctx = {
   mutable ev : int;
   base_kb : int;
@@ -60,6 +94,12 @@ type ctx = {
   cfgs : (string, Cfg.t) Hashtbl.t;
   profiles : (string, Profile.t) Hashtbl.t;
   plans : (string, Whisper_core.Inject.t) Hashtbl.t;
+  rombfs : (string * int, Whisper_rombf.Rombf.t once) Hashtbl.t;
+  walks : (string, Whisper_branchnet.Branchnet.walk) Hashtbl.t;
+  branchnets :
+    ( string * Whisper_branchnet.Branchnet.budget,
+      Whisper_branchnet.Branchnet.t once )
+    Hashtbl.t;
   arenas : (string, Arena.t) Hashtbl.t;
   results : (string, Whisper_pipeline.Machine.result) Hashtbl.t;
   mutable n_sims : int;
@@ -126,6 +166,9 @@ let create_ctx ?(events = 1_200_000) ?(baseline_kb = 64) ?(jobs = 1)
     cfgs = Hashtbl.create 32;
     profiles = Hashtbl.create 64;
     plans = Hashtbl.create 16;
+    rombfs = Hashtbl.create 16;
+    walks = Hashtbl.create 16;
+    branchnets = Hashtbl.create 16;
     arenas = Hashtbl.create 32;
     results = Hashtbl.create 256;
     n_sims = 0;
@@ -179,6 +222,8 @@ let m_profiles = Tm.counter "runner.profiles_collected"
 let m_retries = Tm.counter "runner.retries"
 let m_quarantined = Tm.counter "runner.quarantined"
 let m_degraded = Tm.counter "runner.degraded_results"
+let m_rombf_trained = Tm.counter "runner.rombf.trained"
+let m_branchnet_trained = Tm.counter "runner.branchnet.candidates_trained"
 
 (* Double-checked memoization over a ctx table.  The compute step runs
    outside the lock, so two domains racing on the same key may both
@@ -197,6 +242,22 @@ let memo ctx tbl key compute =
           | None ->
               Hashtbl.add tbl key v;
               v))
+
+(* [memo] for values whose computation records telemetry: [memo] hands
+   every caller the same cell, and only one of them computes its value,
+   so the counters of a run stay equal across job counts.  A value that
+   raises is left uncomputed for the next caller. *)
+let once ctx tbl key compute =
+  let cell =
+    memo ctx tbl key (fun () -> { once_lock = Mutex.create (); value = None })
+  in
+  Mutex.protect cell.once_lock (fun () ->
+      match cell.value with
+      | Some v -> v
+      | None ->
+          let v = compute () in
+          cell.value <- Some v;
+          v)
 
 let cfg_of ctx (app : Workloads.config) =
   memo ctx ctx.cfgs app.name (fun () -> Workloads.build_cfg app)
@@ -331,14 +392,41 @@ let whisper_plan ?(config = Whisper_core.Config.default)
    by construction. *)
 let baseline_of ~kb = Tage_scl.predictor (Sizes.for_budget ~kb)
 
+(* Trained specs are memoized per profile key like the plans above:
+   runtimes only read them.  A miss alone trains, inside a
+   [train/<app>/<technique>] span. *)
+let train_span app technique f =
+  Tm.span
+    (Printf.sprintf "train/%s/%s" app.Workloads.name (technique_name technique))
+    f
+
 let rombf_runtime ctx app ~train_inputs ~kb n =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let spec = Whisper_rombf.Rombf.train ~n prof in
+  let key = (profile_key ctx app ~inputs:train_inputs ~kb, n) in
+  let spec =
+    once ctx ctx.rombfs key (fun () ->
+        let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
+        train_span app (Rombf n) @@ fun () ->
+        Tm.incr m_rombf_trained;
+        Whisper_rombf.Rombf.train ~n prof)
+  in
   Whisper_rombf.Rombf.Runtime.create spec ~baseline:(baseline_of ~kb)
 
+(* Every budget takes a prefix of one walk per profile, so the walk is
+   memoized by profile key and each budget's spec by its bytes
+   ([technique_name] prints [Budget 7168] and [Budget 8000] alike). *)
 let branchnet_runtime ctx app ~train_inputs ~kb budget =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let spec = Whisper_branchnet.Branchnet.train ~budget prof in
+  let pkey = profile_key ctx app ~inputs:train_inputs ~kb in
+  let spec =
+    once ctx ctx.branchnets (pkey, budget) (fun () ->
+        let walk =
+          memo ctx ctx.walks pkey (fun () ->
+              Whisper_branchnet.Branchnet.walk
+                ~on_train:(fun () -> Tm.incr m_branchnet_trained)
+                (profile ~inputs:train_inputs ~baseline_kb:kb ctx app))
+        in
+        train_span app (Branchnet budget) (fun () ->
+            Whisper_branchnet.Branchnet.take walk budget))
+  in
   Whisper_branchnet.Branchnet.Runtime.create spec ~baseline:(baseline_of ~kb)
 
 let whisper_runtime ctx app ~train_inputs ~kb config =

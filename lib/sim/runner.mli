@@ -24,6 +24,14 @@ type technique =
 
 val technique_name : technique -> string
 
+val technique_of_name : string -> technique option
+(** The case-insensitive inverse of {!technique_name} over the
+    techniques the figures run (tage-scl, ideal, mtage-sc, 4b-rombf,
+    8b-rombf, 8KB-branchnet, 32KB-branchnet, unlimited-branchnet and
+    whisper with its default configuration), plus the short aliases
+    baseline, mtage, rombf4, rombf8, branchnet8k, branchnet32k and
+    branchnet.  The CLI and the sweep both parse names with it. *)
+
 val technique_key : technique -> string
 (** Stable key covering the technique's full configuration (used by both
     the memo tables and the on-disk cache). *)
@@ -124,8 +132,16 @@ val make_exec :
   kb:int ->
   Whisper_trace.Branch.event ->
   bool
-(** A fresh technique runtime (trained offline where needed) as a
-    per-event exec closure for {!Whisper_pipeline.Machine.run}. *)
+(** A fresh technique runtime as a per-event exec closure for
+    {!Whisper_pipeline.Machine.run}.  A trained technique's spec is
+    memoized in the ctx per (profile, technique): ROMBF specs by [n],
+    and BranchNet budgets as prefixes of one {!Whisper_branchnet.Branchnet.walk}
+    per profile, so a profile's candidates are trained at most once
+    whatever budgets are asked for, in whatever order.  A call that
+    trains records a [train/<app>/<technique>] span and counts
+    [runner.rombf.trained] (specs) or
+    [runner.branchnet.candidates_trained] (candidates); a memoized
+    spec records nothing. *)
 
 val make_exec_arena :
   ctx ->

@@ -28,15 +28,6 @@ let app_of_ref = function
           Whisper_error.raise_error ~context:name Whisper_error.Manifest
             (Whisper_error.Malformed "unknown catalog application"))
 
-let parse_technique = function
-  | "tage-scl" -> Some Runner.Baseline
-  | "ideal" -> Some Runner.Ideal
-  | "mtage-sc" -> Some Runner.Mtage_sc
-  | "4b-rombf" -> Some (Runner.Rombf 4)
-  | "8b-rombf" -> Some (Runner.Rombf 8)
-  | "whisper" -> Some (Runner.Whisper Whisper_core.Config.default)
-  | _ -> None
-
 let default_techniques = [ "tage-scl"; "8b-rombf"; "whisper" ]
 
 type mode = [ `Process | `In_process ]
@@ -150,7 +141,7 @@ let decode_spec str =
 (* ------------------------------------------------------------------ *)
 
 let technique_exn ~context name =
-  match parse_technique name with
+  match Runner.technique_of_name name with
   | Some t -> t
   | None ->
       Whisper_error.raise_error ~context Whisper_error.Manifest

@@ -41,11 +41,6 @@ type app_ref =
 val fleet : seed:int -> n:int -> app_ref list
 (** [Sampled] apps 0..n-1 under one sampling seed. *)
 
-val parse_technique : string -> Runner.technique option
-(** Inverse of {!Runner.technique_name} for the sweep-supported set:
-    ["tage-scl"], ["ideal"], ["mtage-sc"], ["4b-rombf"], ["8b-rombf"],
-    ["whisper"] (default config). *)
-
 val default_techniques : string list
 (** [["tage-scl"; "8b-rombf"; "whisper"]] — the paper's main
     comparison at fleet scale. *)
@@ -54,7 +49,8 @@ type mode = [ `Process | `In_process ]
 
 type config = {
   apps : app_ref list;
-  techniques : string list;  (** names accepted by {!parse_technique} *)
+  techniques : string list;
+      (** names accepted by {!Runner.technique_of_name} *)
   events : int;  (** branch events per simulation *)
   kb : int;  (** baseline predictor budget *)
   state_dir : string;

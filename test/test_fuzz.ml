@@ -880,29 +880,32 @@ let test_compiled_kernels_equal_closure_oracle () =
    on random inputs.  Real profiles of two apps then check the deployed
    BranchNet models at every budget and the chosen ROMBF hints at both
    widths. *)
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* A kernel model's weights against an oracle model's, bit for bit. *)
+let same_weights what m o =
+  let w1, w2 = Whisper_branchnet.Model.weights m
+  and o1, o2 = Whisper_oracle.Branchnet_ref.Model.weights o in
+  Array.iteri
+    (fun h row ->
+      Array.iteri
+        (fun i w ->
+          if not (same_bits w o1.(h).(i)) then
+            Alcotest.failf "%s: w1.(%d).(%d) = %h, oracle %h (seed %d)" what h
+              i w o1.(h).(i) seed)
+        row)
+    w1;
+  Array.iteri
+    (fun h w ->
+      if not (same_bits w o2.(h)) then
+        Alcotest.failf "%s: w2.(%d) = %h, oracle %h (seed %d)" what h w o2.(h)
+          seed)
+    w2
+
 let test_training_kernels_equal_oracle () =
   let module M = Whisper_branchnet.Model in
   let module O = Whisper_oracle.Branchnet_ref in
   let rng = Rng.create (seed lxor 0x5EED) in
-  let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b in
-  let same_weights what m o =
-    let w1, w2 = M.weights m and o1, o2 = O.Model.weights o in
-    Array.iteri
-      (fun h row ->
-        Array.iteri
-          (fun i w ->
-            if not (same_bits w o1.(h).(i)) then
-              Alcotest.failf "%s: w1.(%d).(%d) = %h, oracle %h (seed %d)" what
-                h i w o1.(h).(i) seed)
-          row)
-      w1;
-    Array.iteri
-      (fun h w ->
-        if not (same_bits w o2.(h)) then
-          Alcotest.failf "%s: w2.(%d) = %h, oracle %h (seed %d)" what h w
-            o2.(h) seed)
-      w2
-  in
   let past_margin = ref 0 in
   (* one scratch across every shape, as a runtime reuses its own *)
   let sc = M.scratch () in
@@ -1012,6 +1015,131 @@ let test_training_kernels_equal_oracle () =
     (fun what k ->
       check_bool (what ^ " deploys on the real profiles") true (k > 0))
     deployed
+
+(* ------------------------------------------------------------------ *)
+(* One BranchNet walk shared by every budget                          *)
+(* ------------------------------------------------------------------ *)
+
+(* 80 candidate branches, a seventh of them with too few samples to
+   train, and a third whose direction is noise: a walk over it both
+   accepts and rejects, and a 64 KB budget outlasts it. *)
+let synthetic_profile rng =
+  let p = Profile.create_empty ~lengths:Workloads.lengths () in
+  let hashes = Array.make (Array.length Workloads.lengths) 0 in
+  for b = 0 to 79 do
+    let pc = 0x8000 + (b * 4) in
+    let n = if b mod 7 = 0 then Rng.int rng 16 else 16 + Rng.int rng 240 in
+    let bit = Rng.int rng 56 and learnable = Rng.int rng 3 > 0 in
+    for _ = 1 to n do
+      let raw56 = Rng.bits rng 56 in
+      let taken =
+        if learnable then (raw56 lsr bit) land 1 = 1 else Rng.bool rng
+      in
+      let correct = Rng.bernoulli rng 0.6 in
+      Profile.record_event p ~pc ~taken ~correct ~instrs:8;
+      Profile.add_sample ~raw56 p ~pc ~raw8:(raw56 land 0xFF) ~hashes ~taken
+        ~correct
+    done
+  done;
+  p
+
+(* Budgets taken from one walk in random order must each deploy what a
+   fresh [Branchnet.train] and the oracle walk deploy: the same pcs in
+   the same insertion order (equal Marshal bytes of the tables) with
+   bit-identical weights.  A walk trains no candidate past the last
+   acceptance a budget needs: a fresh walk for that budget alone, and
+   the shared walk for the largest budget so far. *)
+let test_shared_walk_equals_fresh_train () =
+  let module B = Whisper_branchnet.Branchnet in
+  let module O = Whisper_oracle.Branchnet_ref in
+  let rng = Rng.create (seed lxor 0xB4A2) in
+  let model_bytes =
+    O.Model.storage_bytes (O.Model.create ~n_lengths:O.feature_bytes ~seed:0 ())
+  in
+  let real name =
+    let ctx = Whisper_sim.Runner.create_ctx ~events:60_000 () in
+    (name, Whisper_sim.Runner.profile ctx (Option.get (Workloads.by_name name)))
+  in
+  List.iter
+    (fun (name, profile) ->
+      let trainable =
+        List.filter
+          (fun pc -> Profile.n_samples profile ~pc >= 16)
+          (Array.to_list (Profile.candidates profile))
+      in
+      let acceptances =
+        List.map fst (O.train ~max_models:max_int profile)
+      in
+      (* the candidates a walk trains to reach its k-th acceptance *)
+      let trained_for k =
+        if k <= 0 then 0
+        else
+          match List.nth_opt acceptances (k - 1) with
+          | None -> List.length trainable
+          | Some last ->
+              let rec upto i = function
+                | [] -> i
+                | pc :: rest -> if pc = last then i + 1 else upto (i + 1) rest
+              in
+              upto 0 trainable
+      in
+      let trained = ref 0 in
+      let walk = B.walk ~on_train:(fun () -> incr trained) profile in
+      let requests =
+        Array.of_list
+          (List.map
+             (fun b -> (B.Budget b, None))
+             ([ 0; 464; 465; 930; 8192; 32768 ]
+             @ List.init 3 (fun _ -> Rng.int rng 65537))
+          @ [ (B.Unlimited, Some (Rng.int rng 300)) ])
+      in
+      Rng.shuffle rng requests;
+      let needed = ref 0 in
+      Array.iter
+        (fun (budget, max_models) ->
+          let what, k =
+            match budget with
+            | B.Budget b ->
+                (Printf.sprintf "%s %d bytes" name b, b / model_bytes)
+            | B.Unlimited ->
+                let m = Option.get max_models in
+                (Printf.sprintf "%s unlimited (max %d)" name m, m)
+          in
+          let shared = B.take ?max_models walk budget in
+          let fresh = B.train ~budget ?max_models profile in
+          let expected =
+            O.train
+              ?budget:(match budget with B.Budget b -> Some b | _ -> None)
+              ?max_models profile
+          in
+          let in_order = Hashtbl.create 64 in
+          List.iter (fun (pc, _) -> Hashtbl.replace in_order pc ()) expected;
+          let keys tbl = List.of_seq (Hashtbl.to_seq_keys tbl) in
+          check_bool (what ^ ": pcs and insertion order") true
+            (keys shared.B.models = keys in_order
+            && keys fresh.B.models = keys in_order);
+          check_bool (what ^ ": Marshal bytes equal a fresh train") true
+            (Marshal.to_string shared.B.models []
+            = Marshal.to_string fresh.B.models []);
+          List.iter
+            (fun (pc, o) ->
+              same_weights
+                (Printf.sprintf "%s pc %#x" what pc)
+                (Hashtbl.find shared.B.models pc)
+                o)
+            expected;
+          let alone = ref 0 in
+          ignore
+            (B.take ?max_models
+               (B.walk ~on_train:(fun () -> incr alone) profile)
+               budget);
+          check_int (what ^ ": candidates a fresh walk trains") (trained_for k)
+            !alone;
+          needed := max !needed k;
+          check_int (what ^ ": candidates the shared walk trained")
+            (trained_for !needed) !trained)
+        requests)
+    [ real "python"; real "mysql"; ("synthetic", synthetic_profile rng) ]
 
 (* ------------------------------------------------------------------ *)
 (* Generator and profile passes vs the pre-rewrite oracles            *)
@@ -1343,5 +1471,7 @@ let () =
               test_training_kernels_equal_oracle;
             test_case "generator and profile passes equal oracle" `Quick
               test_generator_and_profile_equal_oracle;
+            test_case "shared BranchNet walk equals fresh training" `Quick
+              test_shared_walk_equals_fresh_train;
           ] );
     ]

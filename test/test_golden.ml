@@ -48,7 +48,7 @@ let test_result_entries () =
   let a = app "mysql" in
   List.iter
     (fun (tech_name, expected) ->
-      let tech = Option.get (Sweep.parse_technique tech_name) in
+      let tech = Option.get (Runner.technique_of_name tech_name) in
       let key =
         Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
           ~kb:(Runner.baseline_kb ctx)

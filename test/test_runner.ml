@@ -1,7 +1,8 @@
 (* Tests for the multicore experiment runner: the Whisper_util.Pool
    domain pool, the persistent result cache (round trip, corruption
-   recovery, warm-rerun hit accounting) and the parallel-vs-sequential
-   determinism of experiment tables. *)
+   recovery, warm-rerun hit accounting), the parallel-vs-sequential
+   determinism of experiment tables, and the memoized ROMBF and
+   BranchNet specs (each trained once per profile). *)
 
 open Whisper_sim
 
@@ -490,6 +491,131 @@ let test_arena_cache_warm_and_corrupt () =
     ((Runner.fault_summary fresh).Report.cache_corrupt_dropped >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Trained specs: memoized per profile, one BranchNet walk            *)
+(* ------------------------------------------------------------------ *)
+
+module Tm = Whisper_util.Telemetry
+module Bn = Whisper_branchnet.Branchnet
+
+(* What [f] adds to the two training counters and to the train spans. *)
+let training f =
+  let count snap =
+    ( Tm.counter_value snap "runner.rombf.trained",
+      Tm.counter_value snap "runner.branchnet.candidates_trained",
+      List.length
+        (List.filter
+           (fun s -> String.starts_with ~prefix:"train/" s.Tm.sp_name)
+           (Tm.spans snap)) )
+  in
+  let r0, b0, s0 = count (Tm.snapshot ()) in
+  f ();
+  let r1, b1, s1 = count (Tm.snapshot ()) in
+  (r1 - r0, b1 - b0, s1 - s0)
+
+let make_exec_arena ctx a t =
+  let arena = Runner.arena ctx a ~input:1 in
+  ignore
+    (Runner.make_exec_arena ctx a t ~train_inputs:[ 0 ]
+       ~kb:(Runner.baseline_kb ctx) ~arena)
+
+let test_second_make_exec_trains_nothing () =
+  let ctx = Runner.create_ctx ~events:det_events () in
+  let a = app "python" in
+  ignore (Runner.profile ctx a);
+  List.iter
+    (fun (t, trains) ->
+      let name = Runner.technique_name t in
+      let rombf, candidates, spans =
+        training (fun () -> make_exec_arena ctx a t)
+      in
+      check_bool (name ^ ": the first call trains") true
+        (trains (rombf, candidates) && spans = 1);
+      check_bool (name ^ ": a second call trains nothing") true
+        (training (fun () -> make_exec_arena ctx a t) = (0, 0, 0));
+      check_bool (name ^ ": nor does the closure path") true
+        (training (fun () ->
+             let (_ : Whisper_trace.Branch.event -> bool) =
+               Runner.make_exec ctx a t ~train_inputs:[ 0 ]
+                 ~kb:(Runner.baseline_kb ctx)
+             in
+             ())
+        = (0, 0, 0)))
+    [
+      (Runner.Rombf 8, fun (r, c) -> r = 1 && c = 0);
+      (Runner.Branchnet (Bn.Budget 32768), fun (r, c) -> r = 0 && c > 0);
+    ]
+
+let test_budgets_share_one_walk () =
+  let ctx = Runner.create_ctx ~events:det_events () in
+  let a = app "python" in
+  let alone = ref 0 in
+  ignore
+    (Bn.take
+       (Bn.walk ~on_train:(fun () -> incr alone) (Runner.profile ctx a))
+       Bn.Unlimited);
+  let _, candidates, spans =
+    training (fun () ->
+        List.iter
+          (fun b -> make_exec_arena ctx a (Runner.Branchnet b))
+          Bn.[ Budget 8192; Budget 32768; Unlimited ])
+  in
+  check_bool "the unlimited walk trains candidates" true (!alone > 0);
+  check_int "8 KB, 32 KB, unlimited train the unlimited walk's candidates"
+    !alone candidates;
+  check_int "one train span per budget" 3 spans
+
+let test_prior_techniques_across_jobs () =
+  let apps = [ app "python"; app "mysql" ] in
+  let techniques = List.map snd Experiments.prior_techniques in
+  let batch ~jobs =
+    let ctx = Runner.create_ctx ~events:det_events ~jobs () in
+    let trained =
+      training (fun () ->
+          Runner.run_batch ctx
+            (List.concat_map
+               (fun a -> List.map (fun t -> Runner.sim a t) techniques)
+               apps))
+    in
+    ( List.concat_map (fun a -> List.map (Runner.run ctx a) techniques) apps,
+      trained )
+  in
+  let r1, ((rombf, candidates, spans) as t1) = batch ~jobs:1 in
+  let r4, t4 = batch ~jobs:4 in
+  check_bool "results identical at -j 1 and -j 4" true (r1 = r4);
+  check_bool "training counters and spans identical" true (t1 = t4);
+  check_int "one ROMBF spec per app and n" 4 rombf;
+  check_bool "BranchNet candidates trained" true (candidates > 0);
+  check_int "one train span per app and technique" 10 spans
+
+let test_technique_names_round_trip () =
+  List.iter
+    (fun t ->
+      let name = Runner.technique_name t in
+      check_bool (name ^ " parses back") true
+        (Runner.technique_of_name name = Some t);
+      check_bool (name ^ " parses in upper case") true
+        (Runner.technique_of_name (String.uppercase_ascii name) = Some t))
+    (List.map snd Experiments.prior_techniques
+    @ Runner.
+        [ Baseline; Ideal; Mtage_sc; Whisper Whisper_core.Config.default ]);
+  List.iter
+    (fun (alias, t) ->
+      check_bool (alias ^ " is an alias") true
+        (Runner.technique_of_name alias = Some t))
+    Runner.
+      [
+        ("baseline", Baseline);
+        ("mtage", Mtage_sc);
+        ("rombf4", Rombf 4);
+        ("rombf8", Rombf 8);
+        ("branchnet8k", Branchnet (Bn.Budget 8192));
+        ("branchnet32k", Branchnet (Bn.Budget 32768));
+        ("branchnet", Branchnet Bn.Unlimited);
+      ];
+  check_bool "an unknown name is refused" true
+    (Runner.technique_of_name "16KB-branchnet" = None)
+
+(* ------------------------------------------------------------------ *)
 (* Chaos mode: fault injection, degradation, determinism              *)
 (* ------------------------------------------------------------------ *)
 
@@ -630,6 +756,18 @@ let () =
               test_arena_matches_closure_all_techniques;
             test_case "persistent cache: warm + corrupt recovery" `Quick
               test_arena_cache_warm_and_corrupt;
+          ] );
+      ( "spec-memo",
+        Alcotest.
+          [
+            test_case "second make_exec trains nothing" `Quick
+              test_second_make_exec_trains_nothing;
+            test_case "budgets share one BranchNet walk" `Quick
+              test_budgets_share_one_walk;
+            test_case "prior techniques identical across job counts" `Quick
+              test_prior_techniques_across_jobs;
+            test_case "technique names round-trip" `Quick
+              test_technique_names_round_trip;
           ] );
       ( "chaos",
         Alcotest.
