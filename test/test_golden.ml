@@ -5,8 +5,9 @@
    one output and compares it with a pinned value:
    - Plan_io bytes of Runner.whisper_plan for two catalog apps;
    - Profile_io bytes of Runner.profile_arena at three baseline budgets;
-   - Result_cache entries of Runner.run for every technique, and
-     MTAGE-SC's also at 200 k events;
+   - Result_cache entries of Runner.run for every technique, MTAGE-SC's
+     also at 200 k events, and TAGE-SC-L's and Whisper's at 300 k,
+     past the 64 KB geometry's usefulness aging;
    - one Arena_cache entry;
    - Arena digests of generated traces, and Profile_io bytes of two of
      them at 8 and 64 KB;
@@ -76,6 +77,28 @@ let test_mtage_entry () =
   let r = Runner.run ctx a Runner.Mtage_sc in
   check "result mtage-sc 200 k" "bab0a9614ab60f90c5e456921c1780cb"
     (md5b (Result_cache.encode ~key r))
+
+(* TAGE-SC-L and Whisper past the 64 KB geometry's usefulness aging:
+   mysql at 300 k events (test input 1) trains the baseline on more than
+   2^18 uncovered events, so [u_reset_period] fires in both rows, which
+   the 20 k pins above never reach. *)
+let test_aging_entries () =
+  let ctx = Runner.create_ctx ~events:300_000 () in
+  let a = app "mysql" in
+  List.iter
+    (fun (tech_name, expected) ->
+      let tech = Option.get (Runner.technique_of_name tech_name) in
+      let key =
+        Runner.run_key ctx a tech ~train_inputs:[ 0 ] ~test_input:1
+          ~kb:(Runner.baseline_kb ctx)
+      in
+      let r = Runner.run ctx a tech in
+      check ("result " ^ tech_name ^ " 300 k") expected
+        (md5b (Result_cache.encode ~key r)))
+    [
+      ("tage-scl", "ee81674a858b5e5f9f102c8fa9c831b9");
+      ("whisper", "b7275cbf878724d7ca65b7cb3290d5a3");
+    ]
 
 (* The trained rows' training is pinned on python at 60 k events: on
    mysql at 20 k events BranchNet deploys no model and 8b-ROMBF no hint
@@ -297,6 +320,8 @@ let () =
           Alcotest.test_case "result-cache entries" `Quick test_result_entries;
           Alcotest.test_case "mtage-sc result-cache entry at 200 k" `Quick
             test_mtage_entry;
+          Alcotest.test_case "tage-scl and whisper entries at 300 k" `Quick
+            test_aging_entries;
           Alcotest.test_case "branchnet result-cache entries" `Quick
             test_branchnet_entries;
           Alcotest.test_case "rombf result-cache entries" `Quick
