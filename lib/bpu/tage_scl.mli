@@ -30,8 +30,10 @@ val fill :
     taken bitmap, so the verdicts equal those of {!predictor} driven
     event by event.
     @raise Invalid_argument if [n] exceeds the arena, [covered] or
-    [verdicts] is shorter than [n], or the tags are not 2 to 15 bits
-    wide. *)
+    [verdicts] is shorter than [n], or the geometry does not fit the
+    kernel's layout: more than 12 tables, [log_entries] outside 3..21,
+    tags outside 2..15 bits, [sc_log] outside 1..15 or [loop_log]
+    outside 1..16.  Every {!Sizes.for_budget} geometry fits. *)
 
 val hybrid :
   Sizes.t ->
