@@ -34,7 +34,10 @@ val technique_of_name : string -> technique option
 
 val technique_key : technique -> string
 (** Stable key covering the technique's full configuration (used by both
-    the memo tables and the on-disk cache). *)
+    the memo tables and the on-disk cache): {!technique_name}, except
+    for Whisper's configuration and a BranchNet budget that is not a
+    whole number of KB, which is keyed by its bytes
+    (["8000B-branchnet"]). *)
 
 type ctx
 (** Holds caches; create one per process/figure batch.  All operations
